@@ -152,8 +152,8 @@ func TestCancelledRepartitionLeavesInstanceUntouched(t *testing.T) {
 // TestCancelledTopologyRepartitionLeavesInstanceUntouched extends the
 // transactional-session invariant to topology mutations: a cancelled or
 // invalid topology delta must leave the Instance byte-identical — same
-// graph object (not a patched copy), same coloring, hash, hierarchy state
-// and history — and the session must stay fully usable.
+// graph object (not a patched copy), same coloring, hash, weights and
+// history — and the session must stay fully usable.
 func TestCancelledTopologyRepartitionLeavesInstanceUntouched(t *testing.T) {
 	mesh := workload.ClimateMesh(32, 32, 4, 5)
 	eng := NewEngine()

@@ -166,9 +166,9 @@ func (e *Engine) splitterFor(g *graph.Graph) splitter.Splitter {
 }
 
 // resolveParallelism applies the Options.Parallelism defaulting rules
-// (0 → GOMAXPROCS, <0 → 1) outside a pipeline run — the session and
-// engine paths that size scratch or worker bounds before core resolves
-// the same value internally.
+// (0 → GOMAXPROCS, <0 → 1) outside a pipeline run — the default oracle
+// above sizes its worker bound before core resolves the same value
+// internally.
 func resolveParallelism(n int) int {
 	if n == 0 {
 		return runtime.GOMAXPROCS(0)
@@ -258,7 +258,7 @@ func (e *Engine) PartitionGrid(ctx context.Context, gr *grid.Grid, k int) (Resul
 // prior coloring is never mutated either way.
 func (e *Engine) Repartition(ctx context.Context, g *graph.Graph, opt Options, prior []int32) (Result, error) {
 	opt = e.resolve(g, opt)
-	res, err := core.Refine(ctx, g, opt, prior)
+	res, err := core.Refine(ctx, g, opt, prior, nil)
 	if err != nil {
 		return Result{}, err
 	}

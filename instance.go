@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/grid"
@@ -54,18 +53,6 @@ type Instance struct {
 	hash     string
 	coloring []int32 // current session coloring; nil until first success
 	history  []Migration
-
-	// hier caches the multilevel hierarchy for the current graph when the
-	// session runs the multilevel path: built once by Partition, then
-	// maintained across deltas with coarsen.Update (reweighted in O(N) per
-	// level, re-matched only around a topology mutation's dirty region).
-	// hierBuilt marks a hierarchy produced by a from-scratch Build for the
-	// current graph — the only kind Partition itself will consume, so a
-	// full Partition stays bit-identical to a fresh one-shot run;
-	// Update-derived hierarchies serve only cold Repartition starts (the
-	// DESIGN.md §9 reproducibility carve-out for repartition paths).
-	hier      *coarsen.Hierarchy
-	hierBuilt bool
 }
 
 // NewInstance mints a session handle for g under the given options. The
@@ -175,27 +162,8 @@ func (in *Instance) Partition(ctx context.Context) (Result, error) {
 	defer in.runMu.Unlock()
 	in.mu.Lock()
 	g := in.g
-	hier, hierBuilt := in.hier, in.hierBuilt
 	in.mu.Unlock()
-	opt := in.opt
-	if opt.Multilevel != nil {
-		// Build (or reuse) the session hierarchy and hand it to the run.
-		// Build here uses the identical CoarsenOptions the in-run
-		// construction would, so the result is bit-identical either way;
-		// the session just keeps the hierarchy for later deltas.
-		if hier == nil || !hierBuilt || hier.Fine != g {
-			copt := opt.Multilevel.CoarsenOptions(g, opt.K)
-			copt.Parallelism = resolveParallelism(opt.Parallelism)
-			var err error
-			hier, err = coarsen.Build(ctx, g, copt)
-			if err != nil {
-				return Result{}, err
-			}
-			hierBuilt = true
-		}
-		opt.Hierarchy = hier
-	}
-	res, err := core.Decompose(ctx, g, opt)
+	res, err := core.Decompose(ctx, g, in.opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -207,9 +175,6 @@ func (in *Instance) Partition(ctx context.Context) (Result, error) {
 	// the session prior must stay immutable (accessors and resumes rely
 	// on it).
 	in.coloring = append([]int32(nil), res.Coloring...)
-	if opt.Multilevel != nil {
-		in.hier, in.hierBuilt = hier, hierBuilt
-	}
 	in.mu.Unlock()
 	return res, nil
 }
@@ -218,15 +183,15 @@ func (in *Instance) Partition(ctx context.Context) (Result, error) {
 // mutations (vertices and edges appearing and disappearing), or both —
 // and resumes the pipeline from the current session coloring: the
 // incremental serving path. A weight-only delta shares the session
-// topology (no clone) and re-hashes from the frozen topology digest in
-// O(N); a topology delta patches the graph, the digest (O(|mutation|)
-// amortized, see graph.ContentDigest.Patch) and the session's multilevel
-// hierarchy incrementally, rebinds the splitting oracle to the patched
-// graph via the engine's factory (graph-specific oracles supplied at
-// NewInstance do not carry across topology changes), and resumes with
-// the prior coloring transported onto the survivors — removed vertices
-// drop out, inserted ones adopt the lightest adjacent class — refining
-// FM/polish work restricted to the mutation's dirty region.
+// topology (no clone), re-hashes from the frozen topology digest in O(N)
+// and polishes globally. A topology delta patches the graph and the
+// digest (O(|mutation|) amortized, see graph.ContentDigest.Patch),
+// rebinds the splitting oracle to the patched graph via the engine's
+// factory (graph-specific oracles supplied at NewInstance do not carry
+// across topology changes), and resumes with the prior coloring
+// transported onto the survivors — removed vertices drop out, inserted
+// ones adopt the lightest adjacent class — polishing only the mutation's
+// dirty region.
 //
 // With no prior coloring (no successful run yet) the full pipeline runs
 // instead, so a cold handle still answers. On success the instance
@@ -244,120 +209,51 @@ func (in *Instance) Repartition(ctx context.Context, d Delta) (Result, error) {
 	// this run's commit (seeding is last-writer-wins by design). Neither
 	// slice is mutated in place anywhere, so the snapshot stays coherent.
 	in.mu.Lock()
-	g, prior, hier := in.g, in.coloring, in.hier
+	g, prior := in.g, in.coloring
 	in.mu.Unlock()
-	if d.HasTopology() {
-		return in.repartitionTopology(ctx, d, g, prior, hier)
-	}
-	return in.repartitionWeights(ctx, d, g, prior, hier)
-}
-
-// updateHierarchy advances the cached multilevel hierarchy onto g2, or
-// returns nil when the session has none to advance. A failed update is
-// non-fatal unless it is the run's cancellation: the cache is dropped
-// and a later Partition rebuilds from scratch.
-func (in *Instance) updateHierarchy(ctx context.Context, hier *coarsen.Hierarchy, g2 *graph.Graph, oldToNew, dirty []int32) (*coarsen.Hierarchy, error) {
-	if in.opt.Multilevel == nil || hier == nil {
-		return nil, nil
-	}
-	h2, _, err := coarsen.Update(ctx, hier, g2, oldToNew, dirty, in.opt.Multilevel.CoarsenOptions(g2, in.opt.K))
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	return h2, nil
-}
-
-// repartitionWeights is the weight-only Repartition path; see
-// Repartition.
-func (in *Instance) repartitionWeights(ctx context.Context, d Delta, g *graph.Graph, prior []int32, hier *coarsen.Hierarchy) (Result, error) {
-	w2, err := d.Materialize(g)
-	if err != nil {
-		return Result{}, err
-	}
-	g2 := g.WithWeights(w2)
-	hier2, err := in.updateHierarchy(ctx, hier, g2, nil, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	if prior == nil {
-		opt := in.opt
-		if hier2 != nil {
-			opt.Hierarchy = hier2
-		}
-		res, err = core.Decompose(ctx, g2, opt)
-	} else {
-		res, err = core.Refine(ctx, g2, in.opt, prior)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	if err := in.eng.audit(g2, in.opt, res); err != nil {
-		return Result{}, err
-	}
-	var mig Migration
-	if prior != nil {
-		mig = MigrationOf(g2, prior, res.Coloring)
-	}
-	in.mu.Lock()
-	in.g = g2
-	in.hash = in.digest.HashWeights(w2)
-	// A copy, for the same reason as in Partition: the caller owns the
-	// returned slice.
-	in.coloring = append([]int32(nil), res.Coloring...)
-	in.history = append(in.history, mig)
-	// The reweighted hierarchy is Update-derived (fresh matching under the
-	// drifted weight cap could differ), so it serves repartitions only.
-	in.hier, in.hierBuilt = hier2, false
-	in.mu.Unlock()
-	return res, nil
-}
-
-// repartitionTopology is the topology-mutating Repartition path; see
-// Repartition.
-func (in *Instance) repartitionTopology(ctx context.Context, d Delta, g *graph.Graph, prior []int32, hier *coarsen.Hierarchy) (Result, error) {
 	ap, err := d.Apply(g)
 	if err != nil {
 		return Result{}, err
 	}
 	g2 := ap.Graph
-	opt2 := in.opt
-	opt2.Splitter = in.eng.splitterFor(g2)
-	hier2, err := in.updateHierarchy(ctx, hier, g2, ap.Topo.OldToNew, ap.Topo.Dirty)
-	if err != nil {
-		return Result{}, err
+	opt := in.opt
+	if ap.Topo != nil {
+		opt.Splitter = in.eng.splitterFor(g2)
 	}
 	var res Result
 	if prior == nil {
-		if hier2 != nil {
-			opt2.Hierarchy = hier2
-		}
-		res, err = core.Decompose(ctx, g2, opt2)
+		res, err = core.Decompose(ctx, g2, opt)
 	} else {
-		seed := seedAcross(g2, ap.Topo, prior, opt2.K)
-		res, err = core.RefineLocal(ctx, g2, opt2, seed, ap.Dirty)
+		seed := prior
+		if ap.Topo != nil {
+			seed = seedAcross(g2, ap.Topo, prior, opt.K)
+		}
+		// ap.Dirty is nil for a weight-only delta: a global polish.
+		res, err = core.Refine(ctx, g2, opt, seed, ap.Dirty)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	if err := in.eng.audit(g2, opt2, res); err != nil {
+	if err := in.eng.audit(g2, opt, res); err != nil {
 		return Result{}, err
 	}
 	var mig Migration
-	if prior != nil {
+	if prior != nil && ap.Topo != nil {
 		mig = MigrationAcross(g2, ap.Topo.OldToNew, prior, res.Coloring)
+	} else if prior != nil {
+		mig = MigrationOf(g2, prior, res.Coloring)
 	}
 	in.mu.Lock()
 	in.g = g2
-	in.digest = in.digest.Patch(ap.Topo)
+	if ap.Topo != nil {
+		in.digest = in.digest.Patch(ap.Topo)
+	}
 	in.hash = in.digest.HashWeights(g2.Weight)
-	in.opt.Splitter = opt2.Splitter
+	in.opt.Splitter = opt.Splitter
+	// A copy, for the same reason as in Partition: the caller owns the
+	// returned slice.
 	in.coloring = append([]int32(nil), res.Coloring...)
 	in.history = append(in.history, mig)
-	in.hier, in.hierBuilt = hier2, false
 	in.mu.Unlock()
 	return res, nil
 }
@@ -367,7 +263,7 @@ func (in *Instance) repartitionTopology(ctx context.Context, d Delta, g *graph.G
 // (ascending id) adopt the lightest class among their already-colored
 // neighbors — lightest class overall when isolated — so the seed starts
 // both complete and as balanced as a local rule can make it before
-// RefineLocal re-certifies the Definition 1 window globally.
+// Refine re-certifies the Definition 1 window globally.
 func seedAcross(g2 *graph.Graph, p *graph.TopologyPatch, prior []int32, k int) []int32 {
 	seed := make([]int32, g2.N())
 	for i := range seed {

@@ -93,7 +93,7 @@ func KSTBisection(g *graph.Graph, sp splitter.Splitter, k int, p float64) []int3
 	if p <= 1 || math.IsNaN(p) {
 		p = 2
 	}
-	pi := measure.SplittingCost(g, p, 1)
+	pi := measure.SplittingCostPar(g, p, 1, 1)
 	chi := graph.NewColoring(g.N())
 	kstAssign(g, sp, g.Weight, pi, graph.AllVertices(g), 0, k, chi)
 	return chi

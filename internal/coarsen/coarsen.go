@@ -5,7 +5,7 @@
 // Each level matches vertices to their heaviest-cost unmatched neighbor
 // (ties toward the smallest id, vertices visited in ascending id, so the
 // hierarchy is a pure function of the graph) and contracts matched pairs
-// via graph.Contract. Heavy edges disappear inside coarse vertices, which
+// via graph.ContractPar. Heavy edges disappear inside coarse vertices, which
 // is what keeps the boundary cost of a coloring solved on the coarse proxy
 // close to one solved directly: the edges that survive to be cut are the
 // cheap ones. A weight cap keeps coarse vertices small enough that the
@@ -75,27 +75,6 @@ func (o Options) withDefaults() Options {
 type Hierarchy struct {
 	Fine   *graph.Graph
 	Levels []*graph.Contraction
-	// Stamps fingerprint each level's matching decision (the assignment
-	// array): Stamps[i] is equal across two hierarchies exactly when level
-	// i groups the same vertices the same way. Update preserves a level's
-	// stamp whenever the mutation's dirty region never reached its matched
-	// pairs — the cheap "is this level still the one I solved?" check for
-	// callers caching per-level state.
-	Stamps []uint64
-}
-
-// stampOf fingerprints a level's assignment with FNV-1a.
-func stampOf(assign []int32, coarseN int) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		h ^= x
-		h *= 1099511628211
-	}
-	mix(uint64(coarseN))
-	for _, a := range assign {
-		mix(uint64(uint32(a)))
-	}
-	return h
 }
 
 // Coarsest returns the deepest graph of the hierarchy (Fine when no level
@@ -134,7 +113,6 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error)
 			return nil, err
 		}
 		h.Levels = append(h.Levels, con)
-		h.Stamps = append(h.Stamps, stampOf(assign, coarseN))
 		cur = con.Coarse
 	}
 	return h, nil

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/measure"
 	"repro/internal/splitter"
@@ -59,18 +58,6 @@ type Options struct {
 	// ignored by Refine, which already starts from a projected-quality
 	// prior. See Multilevel for the knobs and their defaults.
 	Multilevel *Multilevel
-
-	// Hierarchy, when non-nil and built for the exact graph being
-	// decomposed (Hierarchy.Fine must be the same *graph.Graph), supplies
-	// the multilevel path's coarsening hierarchy, skipping the in-run
-	// Build. Session holders (repro.Instance) use it to amortize
-	// coarsening across a drift chain, maintaining the hierarchy with
-	// coarsen.Update as the topology mutates. It must have been built with
-	// Multilevel.CoarsenOptions for the same K. Like Splitter it has no
-	// wire representation; an Updated hierarchy's matchings may differ
-	// from a fresh Build's, so results seeded this way fall under the same
-	// reproducibility carve-out as every warm-start path (DESIGN.md §9).
-	Hierarchy *coarsen.Hierarchy
 
 	// SplitterFactory mints splitting oracles for derived graphs — the
 	// coarse levels of the multilevel hierarchy, whose graphs exist only
@@ -149,10 +136,12 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 }
 
 // Refine resumes the pipeline on an existing complete coloring of g — the
-// incremental entry behind the serving layer's repartition path. The prior
-// coloring (typically computed for a nearby weight field, e.g. before a
-// day/night drift) replaces the Proposition 7 divide-and-conquer as the
-// starting point:
+// incremental entry behind the session and serving layers' repartition
+// path. The prior coloring (typically computed for a nearby weight field,
+// e.g. before a day/night drift, or remapped onto a topology-mutated
+// graph with removed vertices dropped and inserted ones adopted into a
+// class) replaces the Proposition 7 divide-and-conquer as the starting
+// point:
 //
 //   - if the prior coloring is still strictly balanced under g's current
 //     weights, only the polish pass runs — no oracle calls at all;
@@ -160,11 +149,19 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 //     splitting-set pieces from overweight to underweight classes, and
 //     Proposition 12 restores strictness, exactly as in Decompose.
 //
+// dirty, when non-nil, restricts the polish pass to the closed
+// neighborhood of those vertex ids of g — the region where a topology
+// mutation can have created new boundary cost; nil polishes globally.
+// Balance is certified globally either way: the strictness-guarded
+// rebalancing stages and the driver's backstop see the whole graph, so a
+// dirty-region refine carries the identical Definition 1 guarantee at a
+// polish cost that tracks |dirty| instead of M.
+//
 // Every stage moves only as much weight as the imbalance demands, so
 // vertices keep their prior class wherever the Definition 1 window allows:
 // the migration volume between prior and the result tracks the size of the
-// weight drift, not the size of the graph. Diagnostics count only the
-// resumed stages' oracle calls, making the saving over a fresh Decompose
+// change, not the size of the graph. Diagnostics count only the resumed
+// stages' oracle calls, making the saving over a fresh Decompose
 // observable via SplitterCalls.
 // ctx cancels the resumed run exactly as in Decompose: Refine returns
 // ctx.Err() and the caller's prior coloring is never adopted or mutated
@@ -174,7 +171,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 // rebalancing stages behind the strictness check and Pipeline.Run drives
 // the sequence. Options.Multilevel is ignored here — the prior coloring
 // already plays the role the multilevel path's projection would.
-func Refine(ctx context.Context, g *graph.Graph, opt Options, prior []int32) (Result, error) {
+func Refine(ctx context.Context, g *graph.Graph, opt Options, prior, dirty []int32) (Result, error) {
 	if opt.K < 1 {
 		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
 	}
@@ -190,38 +187,12 @@ func Refine(ctx context.Context, g *graph.Graph, opt Options, prior []int32) (Re
 	if err := graph.CheckColoring(prior, opt.K); err != nil {
 		return Result{}, err
 	}
-	return RefinePipeline(opt).Run(ctx, g, opt, prior)
-}
-
-// RefineLocal is the dirty-region variant of Refine, the entry point
-// behind topology-mutation repartitions: the prior coloring (already
-// remapped to g's id space, with removed vertices dropped and inserted
-// vertices adopted into a class) seeds the resume, and the final polish
-// pass sweeps only the closed neighborhood of the dirty vertex set — the
-// region where a mutation can have created new boundary cost. Balance is
-// still certified globally: the strictness-guarded rebalancing stages and
-// the driver's backstop see the whole graph, so the result carries the
-// identical Definition 1 guarantee as Refine, at a cost that tracks
-// |dirty| instead of M once the prior is strictly balanced.
-func RefineLocal(ctx context.Context, g *graph.Graph, opt Options, prior []int32, dirty []int32) (Result, error) {
-	if opt.K < 1 {
-		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	if len(opt.Measures) > 0 {
-		return Result{}, fmt.Errorf("core: RefineLocal does not support Measures (the resumed stages balance weight only); run Decompose")
-	}
-	if len(prior) != g.N() {
-		return Result{}, fmt.Errorf("core: coloring length %d != N %d", len(prior), g.N())
-	}
-	if err := graph.CheckColoring(prior, opt.K); err != nil {
-		return Result{}, err
-	}
 	for _, v := range dirty {
 		if v < 0 || int(v) >= g.N() {
 			return Result{}, fmt.Errorf("core: dirty vertex %d out of range [0, %d)", v, g.N())
 		}
 	}
-	return RefineLocalPipeline(opt, dirty).Run(ctx, g, opt, prior)
+	return RefinePipeline(dirty).Run(ctx, g, opt, prior)
 }
 
 // newCtx validates options and builds the shared pipeline context. A nil

@@ -25,7 +25,7 @@ func testCtx(g *graph.Graph, gr *grid.Grid, p float64) *ctx {
 	} else {
 		sp = splitter.NewRefined(g, splitter.NewBFS(g))
 	}
-	return &ctx{g: g, sp: sp, p: p, pi: measure.SplittingCost(g, p, 1)}
+	return &ctx{g: g, sp: sp, p: p, pi: measure.SplittingCostPar(g, p, 1, 1)}
 }
 
 func randomizeWeights(rng *rand.Rand, g *graph.Graph, spread float64) {

@@ -63,12 +63,11 @@ func (m Multilevel) resolve(k int) Multilevel {
 }
 
 // CoarsenOptions resolves the hierarchy-construction knobs a K-part run
-// uses for g — the single definition shared by the in-run Build below and
-// by session holders (repro.Instance) that prebuild a hierarchy for
-// Options.Hierarchy or maintain one across mutations with coarsen.Update.
-// The weight cap is half a part's share: the Definition 1 window is
-// ±(1−1/k)·‖w‖∞, so letting ‖w‖∞ grow past the average class weight would
-// make the coarsest window vacuous.
+// uses for g — the single definition of the in-run Build below, exported
+// so benchmarks can time that Build on its own. The weight cap is half a
+// part's share: the Definition 1 window is ±(1−1/k)·‖w‖∞, so letting
+// ‖w‖∞ grow past the average class weight would make the coarsest window
+// vacuous.
 func (m Multilevel) CoarsenOptions(g *graph.Graph, k int) coarsen.Options {
 	r := m.resolve(k)
 	return coarsen.Options{
@@ -132,16 +131,9 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	var hier *coarsen.Hierarchy
 	var err error
 	c.stageWindow(StageCoarsen, func() {
-		if c.opt.Hierarchy != nil && c.opt.Hierarchy.Fine == c.g {
-			// A session-supplied hierarchy for exactly this graph (pointer
-			// identity: coarse weights are baked in, so a stale fine graph
-			// would silently solve the wrong instance) skips construction.
-			hier = c.opt.Hierarchy
-		} else {
-			copt := ml.CoarsenOptions(c.g, c.opt.K)
-			copt.Parallelism = c.par
-			hier, err = coarsen.Build(c.run, c.g, copt)
-		}
+		copt := ml.CoarsenOptions(c.g, c.opt.K)
+		copt.Parallelism = c.par
+		hier, err = coarsen.Build(c.run, c.g, copt)
 	})
 	if err != nil {
 		return nil, err
@@ -238,7 +230,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		} else if fg != c.g {
 			lopt.Splitter = factory(fg)
 		}
-		res, err = RefinePipeline(lopt).withPi(pi).Run(c.run, fg, lopt, chi)
+		res, err = RefinePipeline(nil).withPi(pi).Run(c.run, fg, lopt, chi)
 		if err != nil {
 			return nil, err
 		}

@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -94,22 +95,16 @@ func DecomposePipeline(opt Options) *Pipeline {
 	if opt.Multilevel != nil {
 		return NewPipeline(MultilevelStage())
 	}
-	return NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage())
+	return NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage(nil))
 }
 
 // RefinePipeline assembles the resume path: the rebalancing stages
 // (Proposition 11 → 12) run only when the prior coloring is no longer
 // strictly balanced under the current weights, then polish. A strict
-// prior therefore skips to polish with zero oracle calls.
-func RefinePipeline(opt Options) *Pipeline {
-	return NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage())
-}
-
-// RefineLocalPipeline assembles the dirty-region resume path behind
-// RefineLocal: the same strictness-guarded rebalancing stages, but polish
-// sweeps only the dirty region's closed neighborhood.
-func RefineLocalPipeline(opt Options, dirty []int32) *Pipeline {
-	return NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), LocalPolishStage(dirty))
+// prior therefore skips to polish with zero oracle calls. dirty selects
+// the polish region as in PolishStage: nil sweeps the whole graph.
+func RefinePipeline(dirty []int32) *Pipeline {
+	return NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage(dirty))
 }
 
 // Run executes the pipeline on g under opt. prior seeds the working
@@ -278,45 +273,30 @@ func (strictPackStage) Run(c *ctx, chi []int32) ([]int32, error) {
 // polishStage is the strictness-preserving boundary polish pass. It runs
 // only on a strictly balanced coloring (polish moves are feasibility-
 // checked against the Definition 1 window, which is meaningless otherwise)
-// and honors the SkipPolish ablation.
-type polishStage struct{}
-
-// PolishStage returns the boundary polish stage.
-func PolishStage() Stage { return polishStage{} }
-
-func (polishStage) Name() StageName { return StagePolish }
-
-func (polishStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if !c.opt.SkipPolish && graph.IsStrictlyBalanced(c.g, chi, c.opt.K) {
-		return c.polish(chi, c.opt.K, 3), nil
-	}
-	return chi, nil
-}
-
-// localPolishStage is the localized variant of the polish pass: the
-// candidate sweep is restricted to the closed neighborhood of the dirty
-// vertex set while balance feasibility stays global. It is the polish
-// half of the dirty-region Refine contract (RefineLocal): a topology
-// mutation touches a bounded region, so only that region's border can
-// have gained boundary cost worth polishing away. It reports as
-// StagePolish, so observers and diagnostics see the usual pipeline shape.
-type localPolishStage struct {
+// and honors the SkipPolish ablation. A non-nil dirty set restricts the
+// candidate sweep to its closed neighborhood while balance feasibility
+// stays global — the polish half of Refine's dirty-region contract: a
+// topology mutation touches a bounded region, so only that region's
+// border can have gained boundary cost worth polishing away.
+type polishStage struct {
 	dirty []int32
 }
 
-// LocalPolishStage returns a polish stage restricted to the closed
-// neighborhood of dirty (vertex ids of the stage's graph).
-func LocalPolishStage(dirty []int32) Stage {
-	return localPolishStage{dirty: append([]int32(nil), dirty...)}
-}
+// PolishStage returns the boundary polish stage. dirty lists vertex ids
+// of the stage's graph: nil polishes globally, anything else only the
+// closed neighborhood of those vertices (none for an empty set).
+func PolishStage(dirty []int32) Stage { return polishStage{dirty: slices.Clone(dirty)} }
 
-func (localPolishStage) Name() StageName { return StagePolish }
+func (polishStage) Name() StageName { return StagePolish }
 
-func (s localPolishStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if !c.opt.SkipPolish && graph.IsStrictlyBalanced(c.g, chi, c.opt.K) {
-		return c.polishLocal(chi, c.opt.K, 3, s.dirty), nil
+func (s polishStage) Run(c *ctx, chi []int32) ([]int32, error) {
+	if c.opt.SkipPolish || !graph.IsStrictlyBalanced(c.g, chi, c.opt.K) {
+		return chi, nil
 	}
-	return chi, nil
+	if s.dirty == nil {
+		return c.polish(chi, c.opt.K, 3), nil
+	}
+	return c.polishLocal(chi, c.opt.K, 3, s.dirty), nil
 }
 
 // unlessStrict is the RefinePipeline group: its inner stages run only

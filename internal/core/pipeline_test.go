@@ -9,9 +9,10 @@ import (
 )
 
 // TestPipelineAssemblyMatchesEntryPoints pins the refactoring contract:
-// Decompose and Refine are nothing but DecomposePipeline / RefinePipeline
-// driven by Pipeline.Run, so a hand-assembled identical pipeline produces
-// the byte-identical coloring and the same oracle-call count.
+// Decompose and Refine (global or over a dirty set) are nothing but
+// DecomposePipeline / RefinePipeline driven by Pipeline.Run, so a
+// hand-assembled identical pipeline produces the byte-identical coloring
+// and the same oracle-call count.
 func TestPipelineAssemblyMatchesEntryPoints(t *testing.T) {
 	g := workload.ClimateMesh(24, 24, 3, 7)
 	opt := Options{K: 8, Parallelism: 1}
@@ -20,7 +21,7 @@ func TestPipelineAssemblyMatchesEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage()).
+	got, err := NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage(nil)).
 		Run(context.Background(), g, opt, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -41,17 +42,26 @@ func TestPipelineAssemblyMatchesEntryPoints(t *testing.T) {
 		}
 	}
 	g2 := g.WithWeights(w2)
-	wantR, err := Refine(context.Background(), g2, opt, want.Coloring)
-	if err != nil {
-		t.Fatal(err)
+	var dirty []int32
+	for v := int32(0); int(v) < g2.N(); v += 17 {
+		dirty = append(dirty, v)
 	}
-	gotR, err := NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage()).
-		Run(context.Background(), g2, opt, want.Coloring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(wantR.Coloring, gotR.Coloring) {
-		t.Fatal("hand-assembled refine pipeline differs from Refine")
+	for _, d := range [][]int32{nil, dirty} {
+		wantR, err := Refine(context.Background(), g2, opt, want.Coloring, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotR, err := NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage(d)).
+			Run(context.Background(), g2, opt, want.Coloring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(wantR.Coloring, gotR.Coloring) {
+			t.Fatalf("hand-assembled refine pipeline differs from Refine (dirty %v)", d != nil)
+		}
+		if wantR.Diag.SplitterCalls != gotR.Diag.SplitterCalls {
+			t.Fatalf("refine oracle calls differ (dirty %v): %d vs %d", d != nil, wantR.Diag.SplitterCalls, gotR.Diag.SplitterCalls)
+		}
 	}
 }
 
@@ -63,7 +73,7 @@ func TestRefineStrictPriorSkipsToPolish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Refine(context.Background(), g, Options{K: 6, Parallelism: 1}, res.Coloring)
+	warm, err := Refine(context.Background(), g, Options{K: 6, Parallelism: 1}, res.Coloring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestRefineIdenticalWeightsIsPolishOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Refine(context.Background(), g, opt, full.Coloring)
+	ref, err := Refine(context.Background(), g, opt, full.Coloring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRefineAfterWeightDrift(t *testing.T) {
 	}
 
 	h := reweight(g, rows, cols, 2.5)
-	ref, err := Refine(context.Background(), h, opt, full.Coloring)
+	ref, err := Refine(context.Background(), h, opt, full.Coloring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,23 +97,28 @@ func TestRefineAfterWeightDrift(t *testing.T) {
 func TestRefineValidation(t *testing.T) {
 	g := workload.ClimateMesh(8, 8, 2, 1)
 	good := make([]int32, g.N())
-	if _, err := Refine(context.Background(), g, Options{K: 0}, good); err == nil {
+	if _, err := Refine(context.Background(), g, Options{K: 0}, good, nil); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := Refine(context.Background(), g, Options{K: 2}, good[:10]); err == nil {
+	if _, err := Refine(context.Background(), g, Options{K: 2}, good[:10], nil); err == nil {
 		t.Fatal("short coloring accepted")
 	}
 	bad := slices.Clone(good)
 	bad[3] = 7
-	if _, err := Refine(context.Background(), g, Options{K: 2}, bad); err == nil {
+	if _, err := Refine(context.Background(), g, Options{K: 2}, bad, nil); err == nil {
 		t.Fatal("out-of-range color accepted")
 	}
-	if _, err := Refine(context.Background(), g, Options{K: 2, P: 0.5}, good); err == nil {
+	if _, err := Refine(context.Background(), g, Options{K: 2, P: 0.5}, good, nil); err == nil {
 		t.Fatal("invalid P accepted")
 	}
 	ms := [][]float64{make([]float64, g.N())}
-	if _, err := Refine(context.Background(), g, Options{K: 2, Measures: ms}, good); err == nil {
+	if _, err := Refine(context.Background(), g, Options{K: 2, Measures: ms}, good, nil); err == nil {
 		t.Fatal("Measures accepted — Refine cannot preserve multi-balance")
+	}
+	for _, v := range []int32{-1, int32(g.N())} {
+		if _, err := Refine(context.Background(), g, Options{K: 2}, good, []int32{0, v}); err == nil {
+			t.Fatalf("out-of-range dirty vertex %d accepted", v)
+		}
 	}
 }
 
@@ -125,11 +130,11 @@ func TestRefineDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := reweight(g, 20, 20, 3)
-	a, err := Refine(context.Background(), h, opt, full.Coloring)
+	a, err := Refine(context.Background(), h, opt, full.Coloring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Refine(context.Background(), h, Options{K: 6, Parallelism: 4}, full.Coloring)
+	b, err := Refine(context.Background(), h, Options{K: 6, Parallelism: 4}, full.Coloring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

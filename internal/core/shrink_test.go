@@ -157,7 +157,7 @@ func TestSplitterContractHelpers(t *testing.T) {
 	// extractChunk's contract-violation fallback: oversized oracle output.
 	gr, g := gridGraph(t, 6, 6)
 	bad := &oversizeSplitter{inner: splitter.NewGrid(gr)}
-	c := &ctx{g: g, sp: bad, p: 2, pi: measure.SplittingCost(g, 2, 1)}
+	c := &ctx{g: g, sp: bad, p: 2, pi: measure.SplittingCostPar(g, 2, 1, 1)}
 	U := graph.AllVertices(g)
 	maxw := maxOf(g.Weight)
 	X := c.extractChunk(U, g.Weight, maxw)

@@ -1,13 +1,10 @@
 package graph
 
 // This file provides graph contraction — the quotient of a graph under a
-// vertex assignment — and the projection maps that lift colorings and fold
-// weight fields across it. It is the substrate of the multilevel
-// decomposition path (internal/coarsen builds matchings, internal/core
-// drives the solve), kept here so the maps live next to the representation
-// they index and so ContentDigest can extend to coarse graphs: a coarse
-// instance's identity is derivable from the contraction alone, with weight
-// drifts re-hashed through AggregateWeights in O(N) like any other graph.
+// vertex assignment — and the projection map that lifts colorings across
+// it. It is the substrate of the multilevel decomposition path
+// (internal/coarsen builds matchings, internal/core drives the solve),
+// kept here so the maps live next to the representation they index.
 
 import (
 	"fmt"
@@ -29,15 +26,6 @@ type Contraction struct {
 	Map []int32
 }
 
-// Contract builds the quotient of g under assign, which must map every
-// fine vertex to a coarse id in [0, coarseN) with every coarse id hit
-// (surjectivity keeps the quotient free of phantom isolated vertices).
-// O(N + M) with pooled scratch — no sorting, no maps. Equivalent to
-// ContractPar(g, assign, coarseN, 1).
-func Contract(g *Graph, assign []int32, coarseN int) (*Contraction, error) {
-	return ContractPar(g, assign, coarseN, 1)
-}
-
 // contractChunk is the coarse-vertex granularity of the parallel edge
 // aggregation: each work item sweeps one contiguous range of coarse ids
 // into a private buffer, and the buffers concatenate in range order.
@@ -47,24 +35,28 @@ const contractChunk = 2048
 // aggregation sweep across workers pays for the goroutine plumbing.
 const contractParCutoff = 1 << 15
 
-// ContractPar is Contract with the aggregation sweeps fanned across up to
-// par worker goroutines. The result is bit-identical at every par: coarse
-// weights are per-accumulator sums over each coarse vertex's members in
-// ascending fine id (the same floating-point order the sequential sweep
-// produces), and the coarse edge list is emitted per contiguous coarse-id
-// chunk into disjoint offset windows of the exact-length final arrays —
-// each chunk counts first, a sequential prefix pass fixes the offsets, and
-// the fill sweep lands every edge exactly where the sequential emission
-// would put it. The stamped dedup state never crosses a coarse-vertex
-// boundary, so any chunking of the id range is exact (DESIGN.md §14).
-// par ≤ 1 runs fully sequentially with no goroutines.
+// ContractPar builds the quotient of g under assign, which must map every
+// fine vertex to a coarse id in [0, coarseN) with every coarse id hit
+// (surjectivity keeps the quotient free of phantom isolated vertices).
+// O(N + M) with pooled scratch — no sorting, no maps — with the
+// aggregation sweeps fanned across up to par worker goroutines. The
+// result is bit-identical at every par: coarse weights are
+// per-accumulator sums over each coarse vertex's members in ascending
+// fine id (the same floating-point order the sequential sweep produces),
+// and the coarse edge list is emitted per contiguous coarse-id chunk into
+// disjoint offset windows of the exact-length final arrays — each chunk
+// counts first, a sequential prefix pass fixes the offsets, and the fill
+// sweep lands every edge exactly where the sequential emission would put
+// it. The stamped dedup state never crosses a coarse-vertex boundary, so
+// any chunking of the id range is exact (DESIGN.md §14). par ≤ 1 runs
+// fully sequentially with no goroutines.
 func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, error) {
 	n := g.N()
 	if len(assign) != n {
-		return nil, fmt.Errorf("graph: Contract assignment length %d != N %d", len(assign), n)
+		return nil, fmt.Errorf("graph: ContractPar assignment length %d != N %d", len(assign), n)
 	}
 	if coarseN < 0 || (n > 0 && coarseN < 1) || coarseN > n {
-		return nil, fmt.Errorf("graph: Contract coarseN %d out of range for N %d", coarseN, n)
+		return nil, fmt.Errorf("graph: ContractPar coarseN %d out of range for N %d", coarseN, n)
 	}
 	qs := acquireQuotient(coarseN, n)
 	defer releaseQuotient(qs)
@@ -74,13 +66,13 @@ func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, erro
 	start, fill, members := qs.start, qs.fill, qs.memb
 	for v, cu := range assign {
 		if cu < 0 || int(cu) >= coarseN {
-			return nil, fmt.Errorf("graph: Contract assignment of vertex %d out of range: %d", v, cu)
+			return nil, fmt.Errorf("graph: ContractPar assignment of vertex %d out of range: %d", v, cu)
 		}
 		start[cu+1]++
 	}
 	for cu := 0; cu < coarseN; cu++ {
 		if start[cu+1] == 0 {
-			return nil, fmt.Errorf("graph: Contract assignment never maps to coarse vertex %d", cu)
+			return nil, fmt.Errorf("graph: ContractPar assignment never maps to coarse vertex %d", cu)
 		}
 		start[cu+1] += start[cu]
 	}
@@ -250,28 +242,4 @@ func (c *Contraction) Project(coarse []int32) []int32 {
 		out[v] = coarse[cu]
 	}
 	return out
-}
-
-// AggregateWeights folds a fine weight field to the coarse graph — the
-// O(N) weight half of a coarse instance's identity. Combined with Digest
-// this extends the ContentDigest split across the hierarchy: the topology
-// half is frozen once per contraction, and any reweighting of the fine
-// graph re-hashes through Digest().HashWeights(AggregateWeights(w))
-// without touching the coarse edge list again.
-func (c *Contraction) AggregateWeights(fineW []float64) []float64 {
-	if len(fineW) != len(c.Map) {
-		panic(fmt.Sprintf("graph: AggregateWeights length %d != fine N %d", len(fineW), len(c.Map)))
-	}
-	w := make([]float64, c.Coarse.N())
-	for v, cu := range c.Map {
-		w[cu] += fineW[v]
-	}
-	return w
-}
-
-// Digest returns the coarse graph's frozen topology digest (see
-// ContentDigest): compute once per contraction, then derive the coarse
-// identity of any fine reweighting via HashWeights(AggregateWeights(w)).
-func (c *Contraction) Digest() ContentDigest {
-	return NewContentDigest(c.Coarse)
 }

@@ -40,7 +40,7 @@ func pairAssign(n int) ([]int32, int) {
 func TestContractQuotientInvariants(t *testing.T) {
 	g := testMesh(t, 6, 7)
 	assign, coarseN := pairAssign(g.N())
-	con, err := Contract(g, assign, coarseN)
+	con, err := ContractPar(g, assign, coarseN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestContractQuotientInvariants(t *testing.T) {
 func TestContractProjectPreservesBalanceAndBoundary(t *testing.T) {
 	g := testMesh(t, 8, 8)
 	assign, coarseN := pairAssign(g.N())
-	con, err := Contract(g, assign, coarseN)
+	con, err := ContractPar(g, assign, coarseN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,45 +93,18 @@ func TestContractProjectPreservesBalanceAndBoundary(t *testing.T) {
 	}
 }
 
-func TestContractDigestAndAggregateWeights(t *testing.T) {
-	g := testMesh(t, 5, 9)
-	assign, coarseN := pairAssign(g.N())
-	con, err := Contract(g, assign, coarseN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The derived identity must equal hashing the materialized coarse graph.
-	want := ContentHash(con.Coarse)
-	got := con.Digest().HashWeights(con.AggregateWeights(g.Weight))
-	if got != want {
-		t.Fatalf("derived coarse identity %s != materialized %s", got, want)
-	}
-	// A fine reweighting re-derives without touching topology.
-	w2 := append([]float64(nil), g.Weight...)
-	for v := range w2 {
-		w2[v] *= 1.5
-	}
-	agg := con.AggregateWeights(w2)
-	if con.Digest().HashWeights(agg) == want {
-		t.Fatal("reweighted identity did not change")
-	}
-	if got, want := con.Coarse.WithWeights(agg).TotalWeight(), 1.5*g.TotalWeight(); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("aggregated weights total %g, want %g", got, want)
-	}
-}
-
 func TestContractRejectsBadAssignments(t *testing.T) {
 	g := testMesh(t, 3, 3)
-	if _, err := Contract(g, make([]int32, 4), 2); err == nil {
+	if _, err := ContractPar(g, make([]int32, 4), 2, 1); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	bad := make([]int32, g.N())
 	bad[0] = 9
-	if _, err := Contract(g, bad, 2); err == nil {
+	if _, err := ContractPar(g, bad, 2, 1); err == nil {
 		t.Fatal("out-of-range coarse id accepted")
 	}
 	skip := make([]int32, g.N()) // never maps to id 1
-	if _, err := Contract(g, skip, 2); err == nil {
+	if _, err := ContractPar(g, skip, 2, 1); err == nil {
 		t.Fatal("non-surjective assignment accepted")
 	}
 }
@@ -139,14 +112,14 @@ func TestContractRejectsBadAssignments(t *testing.T) {
 // TestContractParMatchesSequential pins the parallel aggregation's
 // bit-identity claim: above the fan-out cutoff, ContractPar at several
 // worker bounds produces byte-identical coarse graphs (weights, sorted
-// edge lists, costs) and identical maps to the sequential Contract.
+// edge lists, costs) and identical maps to the sequential par=1 run.
 func TestContractParMatchesSequential(t *testing.T) {
 	g := testMesh(t, 160, 160) // 50880 edges ≥ contractParCutoff
 	if g.M() < contractParCutoff {
 		t.Fatalf("test mesh too small to exercise the parallel path: m=%d", g.M())
 	}
 	assign, coarseN := pairAssign(g.N())
-	seq, err := Contract(g, assign, coarseN)
+	seq, err := ContractPar(g, assign, coarseN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

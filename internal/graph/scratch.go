@@ -94,7 +94,7 @@ var matchPool = sync.Pool{New: func() any { return &MatchScratch{} }}
 
 // AcquireMatchScratch returns a pooled matching workspace covering n
 // vertices. Callers must Release it when the hierarchy is built; the
-// assignment is copied out by Contract (Contraction.Map), so nothing
+// assignment is copied out by ContractPar (Contraction.Map), so nothing
 // aliases the workspace afterwards.
 func AcquireMatchScratch(n int) *MatchScratch {
 	ms := matchPool.Get().(*MatchScratch)
@@ -114,7 +114,7 @@ func (ms *MatchScratch) Release() { matchPool.Put(ms) }
 
 // ---- quotient (contraction) scratch ----
 
-// quotientScratch is the pooled workspace of Contract: the counting-sort
+// quotientScratch is the pooled workspace of ContractPar: the counting-sort
 // member lists (start/fill/members) and the stamped coarse-neighbor dedup
 // table (stamp/slot). The dedup table is epoch-stamped with an int64 base
 // that advances by coarseN per acquisition: coarse vertex co is "seen

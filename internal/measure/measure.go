@@ -76,18 +76,6 @@ func DegreeWithin(s *graph.Sub) Measure {
 	return m
 }
 
-// SplittingCost returns the p-splitting cost measure of Definition 10:
-//
-//	π(v) = σ_p^p · Σ_{e ∈ δ(v)} c_e^p / 2,
-//
-// with the splittability constant σ_p supplied by the caller (use 1 when
-// only relative comparisons matter — every use in the pipeline is scale-
-// invariant). For any W ⊆ V it holds σ_p·‖c|W‖_p ≤ π(W)^{1/p}, so π(W)^{1/p}
-// bounds the cost of splitting G[W].
-func SplittingCost(g *graph.Graph, p, sigma float64) Measure {
-	return SplittingCostPar(g, p, sigma, 1)
-}
-
 // splittingChunk is the vertex granularity of the parallel π sweep.
 const splittingChunk = 8192
 
@@ -95,13 +83,22 @@ const splittingChunk = 8192
 // sweep across workers pays for the goroutine plumbing.
 const splittingParCutoff = 1 << 15
 
-// SplittingCostPar is SplittingCost with the per-vertex sweep fanned
-// across up to par worker goroutines. π(v) is an independent sum over v's
-// own incidence list, so every entry is computed in the identical
-// floating-point order at any par — the measure is bit-identical to the
-// sequential sweep's. par ≤ 1 runs fully sequentially with no goroutines.
-// The sweep is pow-heavy (one math.Pow per incidence), which is what makes
-// it the dominant prelude of every pipeline run on large graphs.
+// SplittingCostPar returns the p-splitting cost measure of Definition 10:
+//
+//	π(v) = σ_p^p · Σ_{e ∈ δ(v)} c_e^p / 2,
+//
+// with the splittability constant σ_p supplied by the caller (use 1 when
+// only relative comparisons matter — every use in the pipeline is scale-
+// invariant). For any W ⊆ V it holds σ_p·‖c|W‖_p ≤ π(W)^{1/p}, so π(W)^{1/p}
+// bounds the cost of splitting G[W].
+//
+// The per-vertex sweep is fanned across up to par worker goroutines. π(v)
+// is an independent sum over v's own incidence list, so every entry is
+// computed in the identical floating-point order at any par — the measure
+// is bit-identical to the sequential sweep's. par ≤ 1 runs fully
+// sequentially with no goroutines. The sweep is pow-heavy (one math.Pow
+// per incidence), which is what makes it the dominant prelude of every
+// pipeline run on large graphs.
 func SplittingCostPar(g *graph.Graph, p, sigma float64, par int) Measure {
 	n := g.N()
 	m := make(Measure, n)

@@ -55,7 +55,7 @@ func TestUniformAndWeights(t *testing.T) {
 
 func TestSplittingCost(t *testing.T) {
 	g := testGraph()
-	pi := SplittingCost(g, 2, 1)
+	pi := SplittingCostPar(g, 2, 1, 1)
 	// π(1) = (3² + 4²)/2 = 12.5.
 	if math.Abs(pi[1]-12.5) > 1e-12 {
 		t.Fatalf("π(1) = %v, want 12.5", pi[1])
@@ -66,7 +66,7 @@ func TestSplittingCost(t *testing.T) {
 		t.Fatalf("‖π‖₁ = %v, want %v", pi.Total(), want)
 	}
 	// σ scaling: σ^p multiplies.
-	pi2 := SplittingCost(g, 2, 2)
+	pi2 := SplittingCostPar(g, 2, 2, 1)
 	if math.Abs(pi2.Total()-4*want) > 1e-9 {
 		t.Fatal("σ scaling wrong")
 	}
@@ -103,7 +103,7 @@ func TestClassTotals(t *testing.T) {
 
 func TestSplittingCostParMatchesSequential(t *testing.T) {
 	g := workload.RandomGeometric(40000, 0.012, 10, 11) // ≥ splittingParCutoff vertices
-	seq := SplittingCost(g, 2.4, 1.3)
+	seq := SplittingCostPar(g, 2.4, 1.3, 1)
 	for _, par := range []int{2, 4, 8} {
 		got := SplittingCostPar(g, 2.4, 1.3, par)
 		for v := range seq {

@@ -46,7 +46,6 @@ func OptionsKey(opt repro.Options) string {
 	//repro:cachekey-exempt SplitterFactory — no wire representation; handlers require it zero (DESIGN.md §9)
 	//repro:cachekey-exempt Measures — observability sink only, no result influence (DESIGN.md §9)
 	//repro:cachekey-exempt Observer — observability sink only, no result influence (DESIGN.md §9)
-	//repro:cachekey-exempt Hierarchy — session-scoped pointer resolved per instance, not part of wire options (DESIGN.md §9)
 	p := opt.P
 	if p == 0 {
 		p = 2
