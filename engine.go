@@ -158,9 +158,9 @@ func (e *Engine) splitterFor(g *graph.Graph) splitter.Splitter {
 		return e.factory(g)
 	}
 	rf := splitter.NewRefined(g, splitter.NewBFS(g))
-	// Fan the FM gain scan across the engine's worker-pool bound: Par is
-	// placement-only (bit-identical colorings at every setting), so this
-	// never splits result identity.
+	// Fan the FM initial gain fill across the engine's worker-pool bound:
+	// Par is placement-only (bit-identical colorings at every setting), so
+	// this never splits result identity.
 	rf.Par = resolveParallelism(e.par)
 	return rf
 }

@@ -36,7 +36,6 @@ var longWorkNames = map[string]bool{
 	"EdgesWithin":    true,
 	"CostNormWithin": true,
 	"InducedCopy":    true,
-	"Contract":       true,
 	// The parallel-multilevel primitives (DESIGN.md §14): O(M) aggregation
 	// or ordering sweeps that either checkpoint internally per chunk or
 	// count as one checkpoint-granularity unit at the call site.

@@ -79,8 +79,8 @@ func (m Multilevel) CoarsenOptions(g *graph.Graph, k int) coarsen.Options {
 
 // defaultSplitterFactory mints the oracle for hierarchy levels when the
 // caller provides no Options.SplitterFactory: the FM-refined BFS prefix
-// splitter, the same default a direct run gets, with the gain scan fanned
-// across the run's worker-pool bound.
+// splitter, the same default a direct run gets, with the initial gain fill
+// fanned across the run's worker-pool bound.
 func defaultSplitterFactory(par int) func(g *graph.Graph) splitter.Splitter {
 	return func(g *graph.Graph) splitter.Splitter {
 		rf := splitter.NewRefined(g, splitter.NewBFS(g))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -68,12 +69,17 @@ func TestDecomposeDeterministic(t *testing.T) {
 
 // Failure injection: a splitter that violates the Definition 3 contract
 // (returns wildly wrong weights). The pipeline must not panic and must
-// still deliver a strictly balanced coloring via its backstops.
+// still deliver a strictly balanced coloring via its backstops. It keeps
+// the concurrency contract: the pipeline calls it from several pool
+// workers at once, so the shared rng is locked.
 type brokenSplitter struct {
+	mu  sync.Mutex
 	rng *rand.Rand
 }
 
 func (b *brokenSplitter) Split(_ context.Context, W []int32, w []float64, target float64) []int32 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	switch b.rng.Intn(4) {
 	case 0:
 		return nil // always empty

@@ -228,13 +228,17 @@ func (s *Sub) BFSOrder(start int32) []int32 {
 
 // bfsFrom appends the BFS order of start's component to order, using the
 // scratch's epoch stamps as visited state (shared across calls, which is
-// how Components walks every component with one workspace). The output
-// slice doubles as the FIFO queue: a vertex is enqueued exactly when it is
-// emitted, so the order is identical to a separate-queue BFS.
+// how Components walks every component with one workspace).
 func (s *Sub) bfsFrom(sc *scratch, start int32, order []int32) []int32 {
 	head := len(order)
 	sc.seen(start)
-	order = append(order, start)
+	return s.bfsDrain(sc, append(order, start), head)
+}
+
+// bfsDrain runs the BFS whose FIFO queue is order[head:]: the output slice
+// doubles as the queue, since a vertex is enqueued exactly when it is
+// emitted, so the order is identical to a separate-queue BFS.
+func (s *Sub) bfsDrain(sc *scratch, order []int32, head int) []int32 {
 	for head < len(order) {
 		v := order[head]
 		head++
@@ -248,12 +252,15 @@ func (s *Sub) bfsFrom(sc *scratch, start int32, order []int32) []int32 {
 	return order
 }
 
-// MultiBFSOrder returns the vertices of G[W] reachable from any of the
-// given source vertices (which must be in W), in breadth-first order with
-// every source enqueued up front in the given order — the seeded traversal
-// behind the warm-start splitter ordering. Duplicate sources are visited
-// once. Deterministic for a fixed (W, sources).
-func (s *Sub) MultiBFSOrder(sources []int32) []int32 {
+// MultiBFSOrder returns vertices of G[W] in breadth-first order. First come
+// those reachable from any of the sources, every source enqueued up front
+// in the given order — the seeded traversal behind the warm-start splitter
+// ordering. Then, for each start not yet visited, in the given order, the
+// BFS order of its component follows. Sources and starts must be in W;
+// duplicates are visited once. Passing every vertex of W among the starts
+// covers W exactly once. Deterministic for a fixed (W, sources, starts);
+// one scratch and one output slice serve the whole traversal.
+func (s *Sub) MultiBFSOrder(sources, starts []int32) []int32 {
 	sc := acquireScratch(s.G.N(), 0)
 	defer releaseScratch(sc)
 	order := make([]int32, 0, len(s.Verts))
@@ -262,15 +269,10 @@ func (s *Sub) MultiBFSOrder(sources []int32) []int32 {
 			order = append(order, v)
 		}
 	}
-	head := 0
-	for head < len(order) {
-		v := order[head]
-		head++
-		for _, e := range s.G.IncidentEdges(v) {
-			o := s.G.Other(e, v)
-			if s.in[o] && !sc.seen(o) {
-				order = append(order, o)
-			}
+	order = s.bfsDrain(sc, order, 0)
+	for _, v := range starts {
+		if sc.stamp[v] != sc.epoch {
+			order = s.bfsFrom(sc, v, order)
 		}
 	}
 	return order

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -115,6 +116,27 @@ func TestBFSOrder(t *testing.T) {
 	order2 := s2.BFSOrder(0)
 	if len(order2) != 2 {
 		t.Fatalf("restricted BFS reached %d vertices, want 2", len(order2))
+	}
+}
+
+// TestMultiBFSOrderStarts pins the start list of MultiBFSOrder: after the
+// seeded traversal, each start not yet visited adds its component's BFS
+// order, in start order, and visited starts add nothing.
+func TestMultiBFSOrderStarts(t *testing.T) {
+	g := path(7)
+	s := NewSub(g, []int32{0, 1, 2, 4, 5, 6}) // components {0,1,2} and {4,5,6}
+	for _, tc := range []struct {
+		sources, starts, want []int32
+	}{
+		{[]int32{5}, []int32{2, 4, 0, 6}, []int32{5, 4, 6, 2, 1, 0}},
+		{[]int32{6, 0}, []int32{1}, []int32{6, 0, 5, 1, 4, 2}},
+		{nil, []int32{6, 0, 4}, []int32{6, 5, 4, 0, 1, 2}},
+		{nil, nil, []int32{}},
+	} {
+		got := s.MultiBFSOrder(tc.sources, tc.starts)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("MultiBFSOrder(%v, %v) = %v, want %v", tc.sources, tc.starts, got, tc.want)
+		}
 	}
 }
 

@@ -23,11 +23,10 @@ type Refined struct {
 	Inner Splitter
 	// Passes bounds the number of full improvement passes (default 4).
 	Passes int
-	// Par bounds the worker goroutines of the per-move gain scan; 0 or 1
-	// scans sequentially. The selected move is bit-identical at every
-	// setting: the chunked scan merges per-chunk argmax candidates in
-	// chunk order under the same strictly-greater rule the sequential
-	// scan applies, so the first-best-in-W-order vertex wins either way
+	// Par bounds the worker goroutines of the initial gain fill, the one
+	// O(|W|·deg) sweep of a call; 0 or 1 fills sequentially. The pieces
+	// are bit-identical at every setting: each worker writes the gains of
+	// its own range of W, and the moves that follow are sequential
 	// (DESIGN.md §14). The core pipeline sets this to the run's resolved
 	// Parallelism when it mints default oracles.
 	Par int
@@ -53,25 +52,35 @@ func (r *Refined) Split(ctx context.Context, W []int32, w []float64, target floa
 	return refine(ctx, r.G, W, U, w, target, passes, r.Par)
 }
 
-// fmChunk is the candidate granularity of the parallel gain scan; chunks
-// are contiguous ranges of W, merged in W order.
+// fmChunk is the granularity of the parallel initial gain fill; chunks
+// are contiguous ranges of W.
 const fmChunk = 4096
 
-// fmParCutoff is the minimum |W| for which fanning one move's gain scan
+// fmParCutoff is the minimum |W| for which fanning the initial gain fill
 // across workers pays for the goroutine plumbing.
 const fmParCutoff = 1 << 14
 
+// fmFloor is the least gain a move must strictly exceed to be admissible.
+const fmFloor = 1e-12
+
 // refine greedily applies improving moves. A move flips one vertex of W
 // between U and W\U. It is admissible if it strictly decreases the cut cost
-// of U inside G[W] and keeps |w(U) − target| ≤ ‖w|W‖∞/2. The move loop is
-// the oracle's only super-linear stretch, so it re-checks ctx per move —
-// that keeps the pipeline's cancellation latency bounded by one O(|W|)
-// scan even on instances where a full refinement pass is slow.
+// of U inside G[W] and keeps |w(U) − target| ≤ ‖w|W‖∞/2. Each step takes
+// the admissible unmoved vertex of largest gain, the earliest in W on a
+// tie. Gains are computed once per call and cached: a flip changes only
+// the gains of the flipped vertex and its neighbours in W, so only those
+// are recomputed, with the same loop, and every cached gain is bit-for-bit
+// what a fresh evaluation would return. The next move is chosen from a
+// candidate list of the positions whose gain clears the floor; entries
+// that fell to it, or were moved, are dropped while the list is scanned.
+// The move loop re-checks ctx per move, so the pipeline's cancellation
+// latency stays bounded by one selection even on instances where a full
+// refinement pass is slow.
 func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, target float64, passes, par int) []int32 {
-	fs := acquireFM(g.N())
+	fs := acquireFM(g.N(), len(W))
 	defer releaseFM(fs)
-	for _, v := range W {
-		fs.markW(v)
+	for i, v := range W {
+		fs.markW(v, i)
 	}
 	total, maxw := 0.0, 0.0
 	for _, v := range W {
@@ -94,8 +103,8 @@ func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, targ
 	window := maxw/2 + 1e-12*(total+1)
 
 	// gain(v): cut-cost decrease from flipping v (within G[W]). Reads only
-	// the membership stamps, which are frozen during a scan, so concurrent
-	// gain evaluations are race-free.
+	// the membership stamps, which are frozen during the initial fill, so
+	// concurrent gain evaluations are race-free.
 	gain := func(v int32) float64 {
 		sameSide, otherSide := 0.0, 0.0
 		vu := fs.inU(v)
@@ -125,97 +134,65 @@ func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, targ
 		}
 		return d <= window
 	}
-	// scan finds the best admissible move in W[lo:hi]: the unmoved vertex
-	// of maximum gain among those whose flip stays inside the window,
-	// admitting only strict improvements over the floor. The
-	// strictly-greater comparison makes the earliest occurrence of the
-	// maximum win, in W order.
-	scan := func(lo, hi int) (int32, float64) {
-		var best int32 = -1
-		bestGain := 1e-12
-		for _, v := range W[lo:hi] {
-			if fs.isMoved(v) {
-				continue
-			}
-			if gv := gain(v); gv > bestGain && feasible(v) {
-				best, bestGain = v, gv
-			}
-		}
-		return best, bestGain
-	}
-	// bestMove is one move's candidate selection: the sequential scan, or
-	// the chunked parallel scan whose in-order merge under the identical
-	// strictly-greater rule reproduces the sequential winner bit-for-bit.
-	bestMove := func() int32 {
-		if par <= 1 || len(W) < fmParCutoff {
-			v, _ := scan(0, len(W))
-			return v
-		}
-		nChunks := (len(W) + fmChunk - 1) / fmChunk
-		type cand struct {
-			v    int32
-			gain float64
-		}
-		cands := make([]cand, nChunks)
-		var next int64
-		work := func() {
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= nChunks {
-					return
-				}
-				lo := i * fmChunk
-				hi := lo + fmChunk
-				if hi > len(W) {
-					hi = len(W)
-				}
-				v, gv := scan(lo, hi)
-				cands[i] = cand{v: v, gain: gv}
-			}
-		}
-		workers := par
-		if workers > nChunks {
-			workers = nChunks
-		}
-		var wg sync.WaitGroup
-		for i := 1; i < workers; i++ {
-			wg.Add(1)
-			//repro:nondeterministic-ok scan workers write disjoint cands slots; the merge walks them in chunk order under the strictly-greater rule — DESIGN.md §14
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		var best int32 = -1
-		bestGain := 1e-12
-		for _, c := range cands {
-			if c.v >= 0 && c.gain > bestGain {
-				best, bestGain = c.v, c.gain
-			}
-		}
-		return best
-	}
+	gains, flags := fs.gain, fs.flags
+	fillGains(W, gains, gain, par)
 
 	for pass := 0; pass < passes; pass++ {
 		improved := false
-		fs.resetMoved(W)
+		cands := fs.cands[:0]
+		for i := range W {
+			flags[i] = 0
+			if gains[i] > fmFloor {
+				flags[i] = slotOnList
+				cands = append(cands, int32(i))
+			}
+		}
 		for {
 			if ctx.Err() != nil {
 				return nil
 			}
-			best := bestMove()
+			// Select the feasible candidate of largest gain, the earliest
+			// position on a tie — the winner of an in-order scan of W under
+			// a strictly-greater rule — and compact the list as it goes.
+			best, bestGain := int32(-1), fmFloor
+			kept := 0
+			for _, i := range cands {
+				gv := gains[i]
+				if flags[i]&slotMoved != 0 || !(gv > fmFloor) {
+					flags[i] &^= slotOnList
+					continue
+				}
+				cands[kept] = i
+				kept++
+				if (gv > bestGain || gv == bestGain && i < best) && feasible(W[i]) {
+					best, bestGain = i, gv
+				}
+			}
+			cands = cands[:kept]
 			if best < 0 {
 				break
 			}
-			if fs.inU(best) {
-				weightU -= w[best]
+			v := W[best]
+			if fs.inU(v) {
+				weightU -= w[v]
 			} else {
-				weightU += w[best]
+				weightU += w[v]
 			}
-			fs.setU(best, !fs.inU(best))
-			fs.markMoved(best)
+			fs.setU(v, !fs.inU(v))
+			flags[best] |= slotMoved
+			gains[best] = gain(v)
+			for _, e := range g.IncidentEdges(v) {
+				o := g.Other(e, v)
+				if !fs.inW(o) {
+					continue
+				}
+				i := fs.pos[o]
+				gains[i] = gain(o)
+				if gains[i] > fmFloor && flags[i]&(slotMoved|slotOnList) == 0 {
+					flags[i] |= slotOnList
+					cands = append(cands, i)
+				}
+			}
 			improved = true
 		}
 		if !improved {
@@ -230,4 +207,45 @@ func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, targ
 		}
 	}
 	return out
+}
+
+// fillGains writes gain(W[i]) into gains[i] for every position of W: the
+// only O(|W|·deg) sweep of a refine call. Above fmParCutoff and with
+// par > 1 it fans out over fmChunk-sized ranges claimed off an atomic
+// counter; each worker writes only its own range, so the result is the
+// sequential fill's at every par.
+func fillGains(W []int32, gains []float64, gain func(int32) float64, par int) {
+	if par <= 1 || len(W) < fmParCutoff {
+		for i, v := range W {
+			gains[i] = gain(v)
+		}
+		return
+	}
+	nChunks := (len(W) + fmChunk - 1) / fmChunk
+	var next atomic.Int64
+	work := func() {
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= nChunks {
+				return
+			}
+			lo := c * fmChunk
+			hi := min(lo+fmChunk, len(W))
+			for i, v := range W[lo:hi] {
+				gains[lo+i] = gain(v)
+			}
+		}
+	}
+	workers := min(par, nChunks)
+	var wg sync.WaitGroup
+	for i := 1; i < workers; i++ {
+		wg.Add(1)
+		//repro:nondeterministic-ok gain-fill workers write disjoint ranges of gains; the caller joins before reading — DESIGN.md §14
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

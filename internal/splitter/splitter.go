@@ -19,6 +19,7 @@ package splitter
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -87,26 +88,11 @@ func (s *OrderedPrefix) Split(ctx context.Context, W []int32, w []float64, targe
 // BFSOrder orders W by BFS within G[W], component by component, starting
 // each component at its smallest vertex id (deterministic).
 func BFSOrder(g *graph.Graph, W []int32) []int32 {
-	sorted := append([]int32(nil), W...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	sorted := slices.Clone(W)
+	slices.Sort(sorted)
 	sub := graph.NewSub(g, W)
 	defer sub.Release()
-	visited := make(map[int32]bool, len(W))
-	out := make([]int32, 0, len(W))
-	// BFSOrder runs inside a single oracle invocation, which is the
-	// documented checkpoint-granularity unit: Split polls ctx on entry and
-	// the caller (core.split) checkpoints around every oracle call.
-	//repro:checkpoint-ok one oracle invocation is the checkpoint granularity unit — DESIGN.md §8
-	for _, start := range sorted {
-		if visited[start] {
-			continue
-		}
-		for _, v := range sub.BFSOrder(start) {
-			visited[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
+	return sub.MultiBFSOrder(nil, sorted)
 }
 
 // IDOrder orders W by ascending vertex id.

@@ -72,6 +72,26 @@ func TestBFSOrderCoversW(t *testing.T) {
 	}
 }
 
+// TestBFSOrderAllocations pins BFSOrder's allocations to a constant: the
+// sorted copy, the Sub view with its mask, and the output, however many
+// components G[W] has. Ordering component by component with a visited map,
+// a fresh traversal scratch and a |W|-capacity slice per component cost
+// thousands of objects (and megabytes) on this W.
+func TestBFSOrderAllocations(t *testing.T) {
+	g := pathGraph(4000)
+	var W []int32 // the even ids: 2000 isolated components
+	for v := int32(3998); v >= 0; v -= 2 {
+		W = append(W, v)
+	}
+	order := BFSOrder(g, W)
+	if len(order) != len(W) || order[0] != 0 || order[len(order)-1] != 3998 {
+		t.Fatalf("order of %d vertices from %d to %d, want %d from 0 to 3998", len(order), order[0], order[len(order)-1], len(W))
+	}
+	if got := testing.AllocsPerRun(20, func() { BFSOrder(g, W) }); got > 6 {
+		t.Fatalf("BFSOrder allocates %.1f objects per call on 2000 components, want ≤ 6", got)
+	}
+}
+
 func TestOrderedPrefixWindowProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {

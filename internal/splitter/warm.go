@@ -2,7 +2,7 @@ package splitter
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -78,8 +78,8 @@ func (s *Warm) Split(ctx context.Context, W []int32, w []float64, target float64
 // induces no frontier in W — the caller's signal to fall back to a cold
 // oracle. Deterministic: a pure function of (g, prior, W).
 func warmOrder(g *graph.Graph, prior []int32, W []int32) []int32 {
-	sorted := append([]int32(nil), W...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	sorted := slices.Clone(W)
+	slices.Sort(sorted)
 	var frontier []int32
 	for _, v := range sorted {
 		pv := prior[v]
@@ -98,27 +98,5 @@ func warmOrder(g *graph.Graph, prior []int32, W []int32) []int32 {
 	}
 	sub := graph.NewSub(g, W)
 	defer sub.Release()
-	visited := make(map[int32]bool, len(W))
-	out := make([]int32, 0, len(W))
-	// One warmOrder runs inside a single oracle invocation, which is the
-	// documented checkpoint-granularity unit: Split polls ctx on entry and
-	// the caller (core.split) checkpoints around every oracle call.
-	//repro:checkpoint-ok one oracle invocation is the checkpoint granularity unit — DESIGN.md §14
-	for _, v := range sub.MultiBFSOrder(frontier) {
-		visited[v] = true
-		out = append(out, v)
-	}
-	// Same granularity unit as above: the whole order construction is one
-	// oracle invocation, checkpointed by the caller around the Split call.
-	//repro:checkpoint-ok one oracle invocation is the checkpoint granularity unit — DESIGN.md §14
-	for _, start := range sorted {
-		if visited[start] {
-			continue
-		}
-		for _, v := range sub.BFSOrder(start) {
-			visited[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
+	return sub.MultiBFSOrder(frontier, sorted)
 }

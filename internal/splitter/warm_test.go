@@ -118,36 +118,3 @@ func TestWarmSplitMeetsWindowAndCounts(t *testing.T) {
 		t.Fatalf("cancelled split changed hits to %d", warm.Hits())
 	}
 }
-
-// TestRefinedParMatchesSequential pins the parallel FM gain scan's
-// bit-identity: above fmParCutoff the chunk-merged argmax selects the
-// identical move sequence, so the refined pieces are byte-identical.
-func TestRefinedParMatchesSequential(t *testing.T) {
-	gr := grid.MustBox(160, 110) // 17600 ≥ fmParCutoff vertices
-	g := gr.G
-	rng := rand.New(rand.NewSource(31))
-	w := randWeights(rng, g.N())
-	W := allVerts(g.N())
-	total := 0.0
-	for _, v := range W {
-		total += w[v]
-	}
-	seqSp := NewRefined(g, NewBFS(g))
-	seq := seqSp.Split(context.Background(), W, w, total/3)
-	if !CheckWindow(seq, W, w, total/3) {
-		t.Fatal("sequential refined split violated the window")
-	}
-	for _, par := range []int{2, 4, 8} {
-		sp := NewRefined(g, NewBFS(g))
-		sp.Par = par
-		got := sp.Split(context.Background(), W, w, total/3)
-		if len(got) != len(seq) {
-			t.Fatalf("par=%d: |U| = %d, sequential %d", par, len(got), len(seq))
-		}
-		for i := range got {
-			if got[i] != seq[i] {
-				t.Fatalf("par=%d: piece differs at %d: %d vs %d", par, i, got[i], seq[i])
-			}
-		}
-	}
-}

@@ -3,9 +3,9 @@ package repro
 // Parallel-multilevel determinism coverage (DESIGN.md §14): Parallelism N
 // must produce byte-identical colorings to Parallelism 1 through the full
 // multilevel path — parallel matching proposals, contraction sweeps, the
-// FM gain scan, the π prefetch overlap and the polish border scan all
-// claim placement-only parallelism, and this file is where the claim is
-// pinned. CI runs this package under -race, so the cancel test below
+// FM initial gain fill, the π prefetch overlap and the polish border scan
+// all claim placement-only parallelism, and this file is where the claim
+// is pinned. CI runs this package under -race, so the cancel test below
 // doubles as the pool's race check.
 
 import (
@@ -26,8 +26,8 @@ import (
 // colorings. Corpus instances sit below most fan-out cutoffs (the gates
 // route them through the sequential forms at any setting, which is itself
 // part of the contract); the large cases appended after the corpus sit
-// above every cutoff — matching, contraction, π sweep, FM scan and polish
-// border scan all take their parallel branches there.
+// above every cutoff — matching, contraction, π sweep, FM gain fill and
+// polish border scan all take their parallel branches there.
 func TestMultilevelParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeded corpus is a full-test concern")
