@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,56 +220,26 @@ func maxOf(m []float64) float64 {
 }
 
 // subtract returns X \ U for vertex lists (U given as a set), in X's
-// order.
+// order. The balance stages call it once per piece they move, so U is
+// held in pooled marks rather than a map.
 func subtract(X []int32, U []int32) []int32 {
-	m := acquireMarks(U)
-	defer markPool.Put(m)
+	n := 0
+	for _, v := range U {
+		n = max(n, int(v)+1)
+	}
+	m := graph.AcquireMarks(n)
+	defer m.Release()
+	for _, v := range U {
+		m.Mark(v)
+	}
 	out := make([]int32, 0, len(X)-len(U))
 	for _, v := range X {
-		if !m.has(v) {
+		if !m.Has(v) {
 			out = append(out, v)
 		}
 	}
 	return out
 }
-
-// marks is a pooled set of vertex ids for subtract, which the balance
-// stages call once per piece they move: v is in the set iff stamp[v]
-// equals the current epoch, so emptying it is one counter increment
-// instead of a wipe, and no call builds a map.
-type marks struct {
-	stamp []int32
-	epoch int32
-}
-
-var markPool = sync.Pool{New: func() any { return &marks{} }}
-
-// acquireMarks returns a pooled set holding exactly the ids of U. The
-// epoch only grows (fresh stamps are zero while the epoch is ≥ 1), so
-// bumping it drops every stale mark; the one overflow per ~2 billion
-// acquisitions pays an explicit wipe. Callers put it back in markPool.
-func acquireMarks(U []int32) *marks {
-	m := markPool.Get().(*marks)
-	if m.epoch == math.MaxInt32 {
-		clear(m.stamp)
-		m.epoch = 0
-	}
-	m.epoch++
-	n := 0
-	for _, v := range U {
-		n = max(n, int(v)+1)
-	}
-	if cap(m.stamp) < n {
-		m.stamp = make([]int32, n)
-	}
-	m.stamp = m.stamp[:cap(m.stamp)]
-	for _, v := range U {
-		m.stamp[v] = m.epoch
-	}
-	return m
-}
-
-func (m *marks) has(v int32) bool { return int(v) < len(m.stamp) && m.stamp[v] == m.epoch }
 
 // classLists returns the vertex list of each color class of a (possibly
 // partial) coloring. Two passes: exact per-class counts first, so the

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// traversal scratch: the Sub traversals (BFSOrder, Components, EdgesWithin,
+// traversal scratch: the Sub traversals (MultiBFSOrder, Components, EdgesWithin,
 // CostNormWithin) run inside the decomposition recursion's hot loop —
 // every splitting-oracle call orders a vertex set — and used to allocate a
 // map per call. They now draw epoch-stamped int32 buffers from a pool: a
@@ -73,6 +73,29 @@ func (s *scratch) seenEdge(e int32) bool {
 	s.estamp[e] = s.epoch
 	return false
 }
+
+// ---- mark set ----
+
+// Marks is a pooled set of vertex ids for callers outside this package,
+// drawn from the traversal scratch pool: v is in the set iff its stamp
+// equals the workspace's epoch, so an acquired set starts empty without a
+// wipe and no call builds a map.
+type Marks struct{ sc *scratch }
+
+// AcquireMarks returns an empty set that can hold the ids below n. Callers
+// must Release it when done.
+func AcquireMarks(n int) Marks { return Marks{acquireScratch(n, 0)} }
+
+// Mark adds v, which must be below the n the set was acquired with.
+func (m Marks) Mark(v int32) { m.sc.stamp[v] = m.sc.epoch }
+
+// Has reports whether v was marked; ids past the set's range never were.
+func (m Marks) Has(v int32) bool {
+	return int(v) < len(m.sc.stamp) && m.sc.stamp[v] == m.sc.epoch
+}
+
+// Release returns the set's workspace to the pool.
+func (m Marks) Release() { releaseScratch(m.sc) }
 
 // ---- matching scratch ----
 

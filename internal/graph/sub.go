@@ -217,15 +217,6 @@ func min32(a, b int32) int32 {
 	return b
 }
 
-// BFSOrder returns the vertices of G[W] in breadth-first order from the
-// given start vertex (which must be in W). Only vertices reachable within W
-// are returned.
-func (s *Sub) BFSOrder(start int32) []int32 {
-	sc := acquireScratch(s.G.N(), 0)
-	defer releaseScratch(sc)
-	return s.bfsFrom(sc, start, make([]int32, 0, len(s.Verts)))
-}
-
 // bfsFrom appends the BFS order of start's component to order, using the
 // scratch's epoch stamps as visited state (shared across calls, which is
 // how Components walks every component with one workspace).

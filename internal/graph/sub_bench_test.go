@@ -45,7 +45,7 @@ func BenchmarkSubTraversal(b *testing.B) {
 		b.Run(fmt.Sprintf("BFSOrder/%dx%d", side, side), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := s.BFSOrder(start); len(got) == 0 {
+				if got := s.MultiBFSOrder(nil, []int32{start}); len(got) == 0 {
 					b.Fatal("empty order")
 				}
 			}

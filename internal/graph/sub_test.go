@@ -43,6 +43,31 @@ func TestSubRelease(t *testing.T) {
 	}
 }
 
+// TestMarks pins the pooled mark set: it holds exactly what was marked,
+// answers false past its range, and a set acquired after a release starts
+// empty even when it reuses the released workspace.
+func TestMarks(t *testing.T) {
+	m := AcquireMarks(8)
+	m.Mark(2)
+	m.Mark(7)
+	for v := int32(0); v < 8; v++ {
+		if m.Has(v) != (v == 2 || v == 7) {
+			t.Fatalf("Has(%d) = %v after marking 2 and 7", v, m.Has(v))
+		}
+	}
+	if m.Has(1 << 20) {
+		t.Fatal("Has past the range reported a mark")
+	}
+	m.Release()
+	for i := 0; i < 4; i++ {
+		m = AcquireMarks(8)
+		if m.Has(2) || m.Has(7) {
+			t.Fatal("a re-acquired set kept a released mark")
+		}
+		m.Release()
+	}
+}
+
 func TestCostNormWithin(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1, 3)
@@ -107,13 +132,13 @@ func TestInducedCopy(t *testing.T) {
 func TestBFSOrder(t *testing.T) {
 	g := path(5)
 	s := NewSub(g, AllVertices(g))
-	order := s.BFSOrder(0)
+	order := s.MultiBFSOrder(nil, []int32{0})
 	if len(order) != 5 || order[0] != 0 || order[4] != 4 {
 		t.Fatalf("BFS order wrong: %v", order)
 	}
 	// Restricted: BFS cannot cross outside W.
 	s2 := NewSub(g, []int32{0, 1, 3, 4})
-	order2 := s2.BFSOrder(0)
+	order2 := s2.MultiBFSOrder(nil, []int32{0})
 	if len(order2) != 2 {
 		t.Fatalf("restricted BFS reached %d vertices, want 2", len(order2))
 	}

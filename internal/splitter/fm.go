@@ -56,8 +56,11 @@ func (r *Refined) Split(ctx context.Context, W []int32, w []float64, target floa
 // are contiguous ranges of W.
 const fmChunk = 4096
 
-// fmParCutoff is the minimum |W| for which fanning the initial gain fill
-// across workers pays for the goroutine plumbing.
+// fmParCutoff is the minimum |W| whose initial gain fill fans out. A fill
+// on its own already gains from two workers at 2^12 vertices in 1024-
+// vertex chunks (BenchmarkRefineFill, EXPERIMENTS.md), but a direct run
+// measured no faster with that cutoff and chunk: fills that small mostly
+// run while the other pool workers are busy.
 const fmParCutoff = 1 << 14
 
 // fmFloor is the least gain a move must strictly exceed to be admissible.

@@ -2,6 +2,7 @@ package splitter
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -224,6 +225,29 @@ func TestRefinedParMatchesSequential(t *testing.T) {
 		sp.Par = par
 		if got := sp.Split(ctx, W, big.Weight, target); got != nil {
 			t.Fatalf("par=%d: cancelled Split returned a piece of %d vertices", par, len(got))
+		}
+	}
+}
+
+// fillSink keeps BenchmarkRefineFill's refine calls observable.
+var fillSink []int32
+
+// BenchmarkRefineFill times refine with zero passes — the pooled
+// workspace, the membership stamps and the initial gain fill, nothing
+// else — on whole climate meshes straddling fmParCutoff, at Par 1 and 2.
+// Below the cutoff both settings fill sequentially; EXPERIMENTS.md has
+// the run with the cutoff lowered that places the crossover.
+func BenchmarkRefineFill(b *testing.B) {
+	for _, side := range []int{32, 45, 64, 90, 128, 181, 256} {
+		g := workload.ClimateMesh(side, side, 3, 7)
+		W, target := allVerts(g.N()), g.TotalWeight()/2
+		U := NewBFS(g).Split(context.Background(), W, g.Weight, target)
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("W=%d/par=%d", len(W), par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fillSink = refine(context.Background(), g, W, U, g.Weight, target, 0, par)
+				}
+			})
 		}
 	}
 }
