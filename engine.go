@@ -44,12 +44,6 @@ const (
 	StageMultilevel   = core.StageMultilevel
 )
 
-// SplitterFactory builds the splitting-set oracle an Engine binds to a
-// graph. Oracles are graph-bound (Definition 3), so the Engine holds a
-// factory rather than an oracle; each Instance calls it exactly once and
-// caches the result for its whole session.
-type SplitterFactory func(g *graph.Graph) splitter.Splitter
-
 // VerifyPolicy selects how much result auditing an Engine performs.
 type VerifyPolicy int
 
@@ -76,12 +70,12 @@ type Multilevel = core.Multilevel
 // one per deployment (it is cheap and safe for concurrent use), then
 // partition graphs through it — one-shot via Partition / Batch, or
 // session-wise via NewInstance for repeated queries against the same
-// topology. An Engine carries policy only (parallelism, oracle factory,
-// multilevel path, verification, observability); all per-graph state lives
-// in Instances.
+// topology. An Engine carries policy only (parallelism, multilevel path,
+// verification, observability); all per-graph state lives in Instances.
+// The splitting oracle is per run: Options.Splitter when the caller
+// supplies one, else core's default FM-refined BFS oracle.
 type Engine struct {
 	par          int
-	factory      SplitterFactory
 	ml           *Multilevel
 	verify       VerifyPolicy
 	verifyFactor float64
@@ -97,13 +91,6 @@ type EngineOption func(*Engine)
 // colorings at every setting, per the core determinism contract.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) { e.par = n }
-}
-
-// WithSplitterFactory sets the oracle factory used when a run's
-// Options.Splitter is nil. The default builds the FM-refined BFS prefix
-// splitter suitable for bounded-degree mesh-like graphs.
-func WithSplitterFactory(f SplitterFactory) EngineOption {
-	return func(e *Engine) { e.factory = f }
 }
 
 // WithObserver attaches progress hooks to every run whose
@@ -148,53 +135,16 @@ func NewEngine(opts ...EngineOption) *Engine {
 	return e
 }
 
-// splitterFor mints the graph-bound splitting oracle for g from the
-// engine's factory, defaulting to the FM-refined BFS prefix splitter —
-// the single definition shared by NewInstance and the topology-mutation
-// path of Instance.Repartition, which must rebind the oracle to each
-// successor graph (oracles are graph-bound, Definition 3).
-func (e *Engine) splitterFor(g *graph.Graph) splitter.Splitter {
-	if e.factory != nil {
-		return e.factory(g)
-	}
-	rf := splitter.NewRefined(g, splitter.NewBFS(g))
-	// Fan the FM initial gain fill across the engine's worker-pool bound:
-	// Par is placement-only (bit-identical colorings at every setting), so
-	// this never splits result identity.
-	rf.Par = resolveParallelism(e.par)
-	return rf
-}
-
-// resolveParallelism applies the Options.Parallelism defaulting rules
-// (0 → GOMAXPROCS, <0 → 1) outside a pipeline run — the default oracle
-// above sizes its worker bound before core resolves the same value
-// internally.
-func resolveParallelism(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
-// resolve fills a run's options from the engine's policy: parallelism
-// default, observer default, and a factory-built oracle when none is set.
-func (e *Engine) resolve(g *graph.Graph, opt Options) Options {
+// resolve fills a run's options from the engine's policy: parallelism,
+// observer and multilevel defaults. It never picks an oracle: a nil
+// Splitter is core's to fill, which is what lets the multilevel path
+// warm-start every level.
+func (e *Engine) resolve(opt Options) Options {
 	if opt.Parallelism == 0 {
 		opt.Parallelism = e.par
 	}
 	if opt.Observer == nil {
 		opt.Observer = e.obs
-	}
-	if opt.Splitter == nil && e.factory != nil {
-		opt.Splitter = e.factory(g)
-	}
-	if opt.SplitterFactory == nil && e.factory != nil {
-		// The multilevel path mints per-level oracles for the hierarchy's
-		// coarse graphs from this factory.
-		opt.SplitterFactory = e.factory
 	}
 	if opt.Multilevel == nil && e.ml != nil && len(opt.Measures) == 0 {
 		// Measures runs stay on the direct path: the multilevel path does
@@ -219,8 +169,8 @@ func (e *Engine) audit(g *graph.Graph, opt Options, res Result) error {
 }
 
 // Partition computes a strictly balanced k-coloring of g with small
-// maximum boundary cost under the engine's policy, using the engine's
-// splitting oracle (default: FM-refined BFS). ctx cancels the run
+// maximum boundary cost under the engine's policy, using the default
+// FM-refined BFS splitting oracle. ctx cancels the run
 // mid-pipeline; a cancelled run returns ctx.Err() and no Result.
 func (e *Engine) Partition(ctx context.Context, g *graph.Graph, k int) (Result, error) {
 	return e.PartitionWithOptions(ctx, g, Options{K: k})
@@ -229,7 +179,7 @@ func (e *Engine) Partition(ctx context.Context, g *graph.Graph, k int) (Result, 
 // PartitionWithOptions runs the pipeline with explicit options, filling
 // unset fields from the engine's policy.
 func (e *Engine) PartitionWithOptions(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {
-	opt = e.resolve(g, opt)
+	opt = e.resolve(opt)
 	res, err := core.Decompose(ctx, g, opt)
 	if err != nil {
 		return Result{}, err
@@ -242,7 +192,7 @@ func (e *Engine) PartitionWithOptions(ctx context.Context, g *graph.Graph, opt O
 
 // PartitionGrid partitions a d-dimensional grid graph with the paper's
 // exact GridSplit oracle (Section 6, Theorem 19) and the canonical
-// exponent p = d/(d−1), overriding the engine's splitter factory.
+// exponent p = d/(d−1), in place of the default oracle.
 func (e *Engine) PartitionGrid(ctx context.Context, gr *grid.Grid, k int) (Result, error) {
 	p := gr.P()
 	if math.IsInf(p, 1) {
@@ -257,7 +207,7 @@ func (e *Engine) PartitionGrid(ctx context.Context, gr *grid.Grid, k int) (Resul
 // content hash and migration history. ctx cancels the resumed run; the
 // prior coloring is never mutated either way.
 func (e *Engine) Repartition(ctx context.Context, g *graph.Graph, opt Options, prior []int32) (Result, error) {
-	opt = e.resolve(g, opt)
+	opt = e.resolve(opt)
 	res, err := core.Refine(ctx, g, opt, prior, nil)
 	if err != nil {
 		return Result{}, err
@@ -282,9 +232,9 @@ func (e *Engine) Repartition(ctx context.Context, g *graph.Graph, opt Options, p
 // *BatchError, so callers can salvage the instances that completed before
 // the cut.
 //
-// opt.Splitter must be nil (oracles are graph-bound; each instance builds
-// its own from the engine's factory) and the engine's Observer is not
-// forwarded (fan-out events cannot be attributed to an instance).
+// opt.Splitter must be nil (oracles are graph-bound; each instance runs
+// with core's default oracle for its own graph) and the engine's Observer
+// is not forwarded (fan-out events cannot be attributed to an instance).
 func (e *Engine) Batch(ctx context.Context, gs []*graph.Graph, opt Options) ([]Result, error) {
 	if opt.Splitter != nil {
 		return nil, fmt.Errorf("repro: Batch requires a nil Splitter (oracles are bound to a single graph)")
@@ -326,7 +276,7 @@ func (e *Engine) Batch(ctx context.Context, gs []*graph.Graph, opt Options) ([]R
 					errs[i] = err
 					continue
 				}
-				ropt := e.resolve(gs[i], inner)
+				ropt := e.resolve(inner)
 				ropt.Observer = nil // fan-out events cannot be attributed; see doc
 				res, err := core.Decompose(ctx, gs[i], ropt)
 				if err == nil {

@@ -24,7 +24,10 @@ import (
 //     topology half of the hash kept as an incrementally patchable digest
 //     so a weight drift re-hashes O(N) weights and a topology mutation
 //     re-hashes O(|mutation|) edges instead of O(M);
-//   - the splitting oracle, built once from the engine's factory;
+//   - the caller's splitting oracle, when one was supplied
+//     (Options.Splitter, NewGridInstance), until a topology delta drops
+//     it; otherwise every run uses core's default oracle, exactly as the
+//     engine's one-shot runs do;
 //   - the current session coloring, which each Repartition resumes from;
 //   - the migration history of the session's drift chain.
 //
@@ -40,7 +43,7 @@ import (
 // topology. The caller must not mutate the graph after handing it over.
 type Instance struct {
 	eng *Engine
-	opt Options // resolved once: cached splitter, observer, parallelism
+	opt Options // resolved once: observer, parallelism, the caller's oracle
 
 	// runMu serializes pipeline runs on the handle; mu guards the session
 	// state and is never held across a run, so accessors stay O(1) even
@@ -56,18 +59,15 @@ type Instance struct {
 }
 
 // NewInstance mints a session handle for g under the given options. The
-// splitting oracle is built here (from opt.Splitter, or the engine's
-// factory, or the default FM-refined BFS) and cached for the session, and
-// the graph's content hash is computed once; both amortize across every
-// query on the handle.
+// graph's content hash is computed once and amortizes across every query
+// on the handle. opt.Splitter, when set, must be bound to g; when nil,
+// each run mints core's default oracle, so Instance.Partition equals
+// Engine.PartitionWithOptions on the same graph and options.
 func (e *Engine) NewInstance(g *graph.Graph, opt Options) (*Instance, error) {
 	if opt.K < 1 {
 		return nil, fmt.Errorf("repro: K must be ≥ 1, got %d", opt.K)
 	}
-	opt = e.resolve(g, opt)
-	if opt.Splitter == nil {
-		opt.Splitter = e.splitterFor(g)
-	}
+	opt = e.resolve(opt)
 	digest := graph.NewContentDigest(g)
 	return &Instance{
 		eng:    e,
@@ -186,18 +186,19 @@ func (in *Instance) Partition(ctx context.Context) (Result, error) {
 // topology (no clone), re-hashes from the frozen topology digest in O(N)
 // and polishes globally. A topology delta patches the graph and the
 // digest (O(|mutation|) amortized, see graph.ContentDigest.Patch),
-// rebinds the splitting oracle to the patched graph via the engine's
-// factory (graph-specific oracles supplied at NewInstance do not carry
-// across topology changes), and resumes with the prior coloring
-// transported onto the survivors — removed vertices drop out, inserted
-// ones adopt the lightest adjacent class — polishing only the mutation's
-// dirty region.
+// drops a caller-supplied splitting oracle (oracles are bound to one
+// graph, Definition 3, so this and every later run use core's default),
+// and resumes with the prior coloring transported onto the survivors —
+// removed vertices drop out, inserted ones adopt the lightest adjacent
+// class — polishing only the mutation's dirty region.
 //
 // With no prior coloring (no successful run yet) the full pipeline runs
-// instead, so a cold handle still answers. On success the instance
-// adopts the new graph, hash and coloring, and appends the migration
-// versus the prior coloring to the session history (for a topology delta
-// every inserted vertex counts as migrated; removed vertices never do).
+// instead, so a cold handle still answers, with the coloring the engine's
+// one-shot run gives for the delta's graph and the session's oracle. On
+// success the instance adopts the new graph, hash and coloring, and
+// appends the migration versus the prior coloring to the session history
+// (for a topology delta every inserted vertex counts as migrated; removed
+// vertices never do).
 // On error — cancellation and invalid mutations included — nothing is
 // adopted: the prior coloring is never mutated (refines work on private
 // copies), and the handle still answers for the pre-delta graph.
@@ -218,7 +219,7 @@ func (in *Instance) Repartition(ctx context.Context, d Delta) (Result, error) {
 	g2 := ap.Graph
 	opt := in.opt
 	if ap.Topo != nil {
-		opt.Splitter = in.eng.splitterFor(g2)
+		opt.Splitter = nil
 	}
 	var res Result
 	if prior == nil {

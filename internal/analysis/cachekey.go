@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -23,7 +24,10 @@ import (
 //
 // in the same file. Exemptions are how the deliberately key-excluded
 // fields (Parallelism moves work, never results; Splitter/Observer have
-// no wire representation) stay documented at the enforcement point.
+// no wire representation) stay documented at the enforcement point. An
+// exemption that names no field of the struct is reported too: it is
+// left over from a deleted field, and would silently exempt any field
+// later added under that name.
 var CacheKey = &Analyzer{
 	Name:      "cachekey",
 	Doc:       "requires every option-struct field to be incorporated into OptionsKey or explicitly exempted",
@@ -80,9 +84,18 @@ func checkOptionsKey(pass *Pass, file *ast.File, fd *ast.FuncDecl, root *types.N
 		return true
 	})
 
-	exempt := cachekeyExemptions(file)
-	var walk func(named *types.Named, prefix string, depth int)
-	walk = func(named *types.Named, prefix string, depth int) {
+	exemptions := cachekeyExemptions(file)
+	exempt := map[string]bool{}
+	for _, e := range exemptions {
+		exempt[e.name] = true
+	}
+	// The walk visits the whole struct tree, recording every name an
+	// exemption may use (dotted paths and bare field names, which exempt a
+	// field wherever it nests); check is false below a field that is
+	// exempt or unread, whose subfields need no diagnostics of their own.
+	names := map[string]bool{}
+	var walk func(named *types.Named, prefix string, depth int, check bool)
+	walk = func(named *types.Named, prefix string, depth int, check bool) {
 		st, ok := named.Underlying().(*types.Struct)
 		if !ok || depth > 3 {
 			return
@@ -93,33 +106,44 @@ func checkOptionsKey(pass *Pass, file *ast.File, fd *ast.FuncDecl, root *types.N
 				continue
 			}
 			path := prefix + field.Name()
-			if exempt[path] || exempt[field.Name()] {
-				continue
-			}
-			if !read[fieldKey(named, field.Name())] {
+			names[path], names[field.Name()] = true, true
+			covered := exempt[path] || exempt[field.Name()]
+			isRead := read[fieldKey(named, field.Name())]
+			if check && !covered && !isRead {
 				pass.Reportf(fd.Name.Pos(), "%s does not incorporate %s.%s: the DESIGN.md §9 rule (equal keys ⇔ equal configs) requires every option field in the key, or a //repro:cachekey-exempt %s exemption",
 					fd.Name.Name, root.Obj().Name(), path, path)
-				continue
 			}
 			// A field that is read and is itself an options struct must
 			// have its own fields incorporated: reading `opt.Multilevel`
 			// alone would put only the pointer's nil-ness in the key.
 			if sub := namedOf(field.Type()); sub != nil {
-				if _, isStruct := sub.Underlying().(*types.Struct); isStruct {
-					walk(sub, path+".", depth+1)
-				}
+				walk(sub, path+".", depth+1, check && !covered && isRead)
 			}
 		}
 	}
-	walk(root, "", 0)
+	walk(root, "", 0, true)
+	for _, e := range exemptions {
+		if !names[e.name] {
+			pass.Reportf(fd.Name.Pos(), "stale //repro:cachekey-exempt %s (line %d): %s has no field %s",
+				e.name, pass.Fset.Position(e.pos).Line, root.Obj().Name(), e.name)
+		}
+	}
+}
+
+// exemption is one //repro:cachekey-exempt directive: the field it names
+// and where it stands.
+type exemption struct {
+	name string
+	pos  token.Pos
 }
 
 // cachekeyExemptions collects the //repro:cachekey-exempt directives of
-// the file holding OptionsKey; the first token after the directive names
-// the exempted field (dotted paths allowed for nested fields). Citation
-// validation is the runner's job, shared with every suppression.
-func cachekeyExemptions(file *ast.File) map[string]bool {
-	out := map[string]bool{}
+// the file holding OptionsKey, in file order; the first token after the
+// directive names the exempted field (dotted paths allowed for nested
+// fields). Citation validation is the runner's job, shared with every
+// suppression.
+func cachekeyExemptions(file *ast.File) []exemption {
+	var out []exemption
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			d, rest, ok := parseDirective(c.Text)
@@ -129,7 +153,7 @@ func cachekeyExemptions(file *ast.File) map[string]bool {
 			if i := strings.IndexAny(rest, " \t"); i >= 0 {
 				rest = rest[:i]
 			}
-			out[rest] = true
+			out = append(out, exemption{rest, c.Pos()})
 		}
 	}
 	return out

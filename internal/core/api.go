@@ -20,17 +20,20 @@ type Options struct {
 	// (Definition 3). Defaults to 2; use d/(d−1) on d-dimensional grids.
 	P float64
 
-	// Splitter is the splitting-set oracle. Defaults to an FM-refined BFS
-	// prefix splitter on the input graph. Custom implementations must be
-	// safe for concurrent use (see splitter.Splitter) whenever
-	// Parallelism ≠ 1.
+	// Splitter is the splitting-set oracle, bound to the input graph
+	// (Definition 3). nil — the default — makes each run mint an
+	// FM-refined BFS prefix splitter; the multilevel path then warm-starts
+	// every level, the finest included, from the projected coarse cut. A
+	// supplied oracle is used as-is on the input graph, and the coarse
+	// levels get the default. Custom implementations must be safe for
+	// concurrent use (see splitter.Splitter) whenever Parallelism ≠ 1.
 	Splitter splitter.Splitter
 
 	// Observer, when non-nil, receives progress callbacks (stage
 	// enter/leave, oracle calls, polish rounds) from the run. Callbacks
-	// must be cheap and concurrency-safe; see Observer. Like Splitter and
-	// Measures it has no wire representation and never influences the
-	// computed coloring, so it is excluded from result-cache identity.
+	// must be cheap and concurrency-safe; see Observer. It has no wire
+	// representation and never influences the computed coloring, so it is
+	// excluded from result-cache identity.
 	Observer Observer
 
 	// Parallelism bounds the worker pool used by the pipeline's
@@ -58,16 +61,6 @@ type Options struct {
 	// ignored by Refine, which already starts from a projected-quality
 	// prior. See Multilevel for the knobs and their defaults.
 	Multilevel *Multilevel
-
-	// SplitterFactory mints splitting oracles for derived graphs — the
-	// coarse levels of the multilevel hierarchy, whose graphs exist only
-	// inside the run (Splitter is bound to the input graph and cannot
-	// serve them). nil defaults to the FM-refined BFS prefix splitter.
-	// The factory must be safe for concurrent use when Parallelism ≠ 1;
-	// like Splitter and Observer it has no wire representation, and —
-	// because every in-tree factory is deterministic for a given graph —
-	// it is excluded from result-cache identity.
-	SplitterFactory func(g *graph.Graph) splitter.Splitter
 
 	// SkipBoundaryBalance disables the Proposition 7 boundary-balancing
 	// stage (ablation E10a): the coloring is still multi-balanced in
@@ -222,9 +215,11 @@ func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*
 	if par < 1 {
 		par = 1
 	}
+	// The one place the default oracle is minted. It stays out of opt, so
+	// opt.Splitter == nil still tells the multilevel driver that no oracle
+	// was supplied and every level may warm-start.
 	sp := opt.Splitter
-	spDefault := sp == nil
-	if spDefault {
+	if sp == nil {
 		rf := splitter.NewRefined(g, splitter.NewBFS(g))
 		rf.Par = par
 		sp = rf
@@ -236,7 +231,6 @@ func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*
 	// (and the multilevel driver's per-level inner runs) see exactly what
 	// this run uses, not the caller's unresolved zeros.
 	opt.P = p
-	opt.Splitter = sp
 	opt.Parallelism = par
 	if pi == nil {
 		// The π sweep is the pow-heavy prelude of every run; fan it across
@@ -247,15 +241,14 @@ func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*
 		pi = measure.SplittingCostPar(g, p, 1, par)
 	}
 	c := &ctx{
-		g:         g,
-		sp:        sp,
-		spDefault: spDefault,
-		p:         p,
-		pi:        pi,
-		opt:       opt,
-		par:       par,
-		run:       run,
-		obs:       opt.Observer,
+		g:   g,
+		sp:  sp,
+		p:   p,
+		pi:  pi,
+		opt: opt,
+		par: par,
+		run: run,
+		obs: opt.Observer,
 	}
 	// Done() is nil for Background-style contexts, which keeps the
 	// interrupted() checkpoint free on un-cancellable runs.
@@ -274,40 +267,6 @@ func TheoremBound(g *graph.Graph, k int, p float64) float64 {
 		return 2 * g.MaxCost()
 	}
 	return g.CostNorm(p)/math.Pow(float64(k), 1/p) + g.MaxCost()
-}
-
-// MultiBalanced exposes the Lemma 6 stage: a k-coloring balanced with
-// respect to every measure in ms with small *average* boundary cost.
-func MultiBalanced(ctx context.Context, g *graph.Graph, opt Options, ms [][]float64) ([]int32, error) {
-	if opt.K < 1 {
-		return nil, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	chi := c.multiBalanced(opt.K, ms)
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return chi, nil
-}
-
-// MinMaxBalanced exposes the Proposition 7 stage: a k-coloring balanced in
-// the given measures (plus π) with small *maximum* boundary cost.
-func MinMaxBalanced(ctx context.Context, g *graph.Graph, opt Options, ms [][]float64) ([]int32, error) {
-	if opt.K < 1 {
-		return nil, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	chi2 := c.minMaxBalanced(opt.K, ms)
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return chi2, nil
 }
 
 // AlmostStrict exposes the Proposition 11 stage on an existing coloring.

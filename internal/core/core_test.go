@@ -590,17 +590,15 @@ func TestDecomposeKBiggerThanN(t *testing.T) {
 func TestStageWrappers(t *testing.T) {
 	gr, g := gridGraph(t, 10, 10)
 	opt := Options{K: 4, Splitter: splitter.NewGrid(gr)}
-	chi, err := MultiBalanced(context.Background(), g, opt, [][]float64{g.Weight})
+	c, err := newCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chi := c.multiBalanced(4, [][]float64{g.Weight})
 	if err := graph.CheckColoring(chi, 4); err != nil {
 		t.Fatal(err)
 	}
-	chi2, err := MinMaxBalanced(context.Background(), g, opt, [][]float64{g.Weight})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chi2 := c.minMaxBalanced(4, [][]float64{g.Weight})
 	chi3, err := AlmostStrict(context.Background(), g, opt, chi2)
 	if err != nil {
 		t.Fatal(err)
@@ -616,7 +614,7 @@ func TestStageWrappers(t *testing.T) {
 		t.Fatal("StrictBalance wrapper failed")
 	}
 	// Error paths.
-	if _, err := MultiBalanced(context.Background(), g, Options{K: 0}, nil); err == nil {
+	if _, err := StrictBalance(context.Background(), g, Options{K: 0}, chi4); err == nil {
 		t.Fatal("expected K error")
 	}
 	if _, err := AlmostStrict(context.Background(), g, Options{K: 4}, make([]int32, g.N()+5)); err == nil {

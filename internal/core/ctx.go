@@ -33,14 +33,7 @@ type ctx struct {
 	sp  splitter.Splitter
 	p   float64
 	pi  []float64 // splitting-cost measure π of Definition 10 (σ_p = 1)
-	opt Options   // the run's options, with Splitter/Parallelism resolved
-
-	// spDefault records that sp was minted by newCtx rather than supplied
-	// by the caller. The multilevel driver uses it to decide whether the
-	// finest level's oracle may be warm-seeded from the projected coarse
-	// cut (a caller-supplied oracle — e.g. the exact grid splitter — is
-	// always respected as-is).
-	spDefault bool
+	opt Options   // the run's options, P/Parallelism resolved; Splitter as supplied
 
 	par int           // resolved Options.Parallelism (≥ 1)
 	sem chan struct{} // spare-worker tokens; nil when par == 1

@@ -43,8 +43,9 @@ type Multilevel struct {
 	// smallest vertex id, as the path did before the splitter.Warm wrapper
 	// existed (the pre-warm coloring is recoverable by setting this). The
 	// default (false) seeds each level's default oracle from the projected
-	// coarse cut (DESIGN.md §14). Irrelevant when the caller supplies
-	// Splitter/SplitterFactory — supplied oracles are always used as-is.
+	// coarse cut (DESIGN.md §14): every level when Options.Splitter is
+	// nil, the coarse levels only when it is set — a supplied oracle is
+	// always used as-is on the input graph.
 	ColdOracles bool
 }
 
@@ -77,18 +78,6 @@ func (m Multilevel) CoarsenOptions(g *graph.Graph, k int) coarsen.Options {
 	}
 }
 
-// defaultSplitterFactory mints the oracle for hierarchy levels when the
-// caller provides no Options.SplitterFactory: the FM-refined BFS prefix
-// splitter, the same default a direct run gets, with the initial gain fill
-// fanned across the run's worker-pool bound.
-func defaultSplitterFactory(par int) func(g *graph.Graph) splitter.Splitter {
-	return func(g *graph.Graph) splitter.Splitter {
-		rf := splitter.NewRefined(g, splitter.NewBFS(g))
-		rf.Par = par
-		return rf
-	}
-}
-
 // warmRefined mints the warm-started per-level oracle: the FM-refined
 // prefix splitter whose order is seeded from the projected coarse cut
 // (prior), falling back to the cold BFS order when a call's W has no
@@ -115,14 +104,6 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		return nil, fmt.Errorf("core: MultilevelStage requires Options.Multilevel")
 	}
 	ml := c.opt.Multilevel.resolve(c.opt.K)
-	factory := c.opt.SplitterFactory
-	// Warm-start seeding applies only to oracles this driver mints itself:
-	// a caller-supplied factory (or, at the finest level, a caller-supplied
-	// run splitter — e.g. the exact grid oracle) is always used as-is.
-	warmable := factory == nil && !ml.ColdOracles
-	if factory == nil {
-		factory = defaultSplitterFactory(c.par)
-	}
 
 	// Hierarchy construction gets its own instrumented window inside the
 	// driver's StageMultilevel bracket; the per-level solves below run as
@@ -169,19 +150,18 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	}()
 
 	// Per-level options: the inner runs inherit the caller's policy but
-	// never recurse into the multilevel path, and each graph of the
-	// hierarchy gets its own factory-built oracle. The finest level reuses
-	// the run's resolved splitter — the one bound to the input graph
-	// (possibly the caller's, e.g. an exact grid oracle) — unless that
-	// splitter was minted by default, in which case it warm-starts like
-	// every other level.
+	// never recurse into the multilevel path. A supplied Splitter (e.g.
+	// the exact grid oracle) is bound to the input graph, so only the
+	// finest level uses it, as-is; every other level runs with a nil
+	// Splitter, which the refine loop below fills with a warm-started
+	// oracle and the inner run otherwise fills with the default.
 	inner := c.opt
 	inner.Multilevel = nil
 
 	copt := inner
 	cg := hier.Coarsest()
 	if cg != c.g {
-		copt.Splitter = factory(cg)
+		copt.Splitter = nil
 	}
 	if c.par > 1 && len(hier.Levels) > 0 && fineAt(len(hier.Levels)-1) != c.g {
 		piCh = prefetch(fineAt(len(hier.Levels) - 1))
@@ -224,11 +204,12 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 			piCh = prefetch(fineAt(i - 1))
 		}
 		lopt := inner
+		if fg != c.g {
+			lopt.Splitter = nil
+		}
 		var warm *splitter.Warm
-		if warmable && (fg != c.g || c.spDefault) {
+		if lopt.Splitter == nil && !ml.ColdOracles {
 			lopt.Splitter, warm = warmRefined(fg, chi, c.par)
-		} else if fg != c.g {
-			lopt.Splitter = factory(fg)
 		}
 		res, err = RefinePipeline(nil).withPi(pi).Run(c.run, fg, lopt, chi)
 		if err != nil {

@@ -64,12 +64,6 @@ type Mutation struct {
 	RemoveEdges []EdgeRef
 }
 
-// Empty reports whether the mutation changes nothing.
-func (m Mutation) Empty() bool {
-	return len(m.AddVertices) == 0 && len(m.RemoveVertices) == 0 &&
-		len(m.AddEdges) == 0 && len(m.RemoveEdges) == 0
-}
-
 // TopologyPatch is the result of applying a Mutation: the patched graph
 // plus the maps and deltas the session, hierarchy and digest layers need
 // to update themselves in O(|mutation|)-ish work instead of from scratch.

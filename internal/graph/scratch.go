@@ -5,37 +5,35 @@ import (
 	"sync"
 )
 
-// traversal scratch: the Sub traversals (MultiBFSOrder, Components, EdgesWithin,
-// CostNormWithin) run inside the decomposition recursion's hot loop —
-// every splitting-oracle call orders a vertex set — and used to allocate a
-// map per call. They now draw epoch-stamped int32 buffers from a pool: a
-// vertex (or edge) is "seen" iff its stamp equals the current epoch, so
-// clearing between calls is one counter increment instead of an O(N)
-// wipe, and the buffers themselves are reused process-wide.
+// traversal scratch: Sub views, with the visited marks of their traversals
+// (MultiBFSOrder, Components), are built inside the decomposition
+// recursion's hot loop — every splitting-oracle call views and orders a
+// vertex set — and used to allocate a map or an N-long mask per call.
+// They now draw epoch-stamped int32 buffers from a pool: every stamp left
+// by an earlier acquisition is below the current epoch, so clearing
+// between calls is one counter increment instead of an O(N) wipe, and the
+// buffers themselves are reused process-wide.
 
-// scratch is one reusable traversal workspace. stamp marks vertices,
-// estamp marks edges; both compare against epoch. queue is the BFS queue.
+// scratch is one reusable vertex-stamp workspace. Stamps below the epoch
+// of its acquisition are stale; Marks and Sub give the others meaning.
 type scratch struct {
-	stamp  []int32
-	estamp []int32
-	epoch  int32
-	queue  []int32
+	stamp []int32
+	epoch int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
-// acquireScratch returns a workspace covering n vertices and m edges with
-// a fresh epoch. The epoch only grows (all stored stamps are ≤ the last
+// acquireScratch returns a workspace covering n vertices with a fresh
+// epoch. The epoch only grows (all stored stamps are ≤ the last
 // epoch, and freshly allocated buffers are zero while the epoch is ≥ 1),
 // so bumping it invalidates every stale mark at once; the one overflow per
 // ~2 billion acquisitions pays an explicit wipe. Callers must
 // releaseScratch when done; all outputs are copied out, so nothing
 // aliases the workspace afterwards.
-func acquireScratch(n, m int) *scratch {
+func acquireScratch(n int) *scratch {
 	s := scratchPool.Get().(*scratch)
 	if s.epoch == math.MaxInt32 {
 		clear(s.stamp)
-		clear(s.estamp)
 		s.epoch = 0
 	}
 	s.epoch++
@@ -43,36 +41,11 @@ func acquireScratch(n, m int) *scratch {
 		s.stamp = make([]int32, n)
 	}
 	s.stamp = s.stamp[:cap(s.stamp)]
-	if cap(s.estamp) < m {
-		s.estamp = make([]int32, m)
-	}
-	s.estamp = s.estamp[:cap(s.estamp)]
 	return s
 }
 
 // releaseScratch returns the workspace to the pool.
-func releaseScratch(s *scratch) {
-	s.queue = s.queue[:0]
-	scratchPool.Put(s)
-}
-
-// seen reports whether vertex v was marked this epoch, marking it.
-func (s *scratch) seen(v int32) bool {
-	if s.stamp[v] == s.epoch {
-		return true
-	}
-	s.stamp[v] = s.epoch
-	return false
-}
-
-// seenEdge reports whether edge e was marked this epoch, marking it.
-func (s *scratch) seenEdge(e int32) bool {
-	if s.estamp[e] == s.epoch {
-		return true
-	}
-	s.estamp[e] = s.epoch
-	return false
-}
+func releaseScratch(s *scratch) { scratchPool.Put(s) }
 
 // ---- mark set ----
 
@@ -84,7 +57,7 @@ type Marks struct{ sc *scratch }
 
 // AcquireMarks returns an empty set that can hold the ids below n. Callers
 // must Release it when done.
-func AcquireMarks(n int) Marks { return Marks{acquireScratch(n, 0)} }
+func AcquireMarks(n int) Marks { return Marks{acquireScratch(n)} }
 
 // Mark adds v, which must be below the n the set was acquired with.
 func (m Marks) Mark(v int32) { m.sc.stamp[v] = m.sc.epoch }

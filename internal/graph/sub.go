@@ -3,168 +3,67 @@ package graph
 // This file provides induced-subgraph views G[W] (the paper's notation for
 // the graph induced by a vertex set W), plus BFS orders and connected
 // components, which the splitting and separator machinery is built on.
-// The traversals draw their visited state from the epoch-stamped scratch
-// pool (scratch.go): they run inside the recursion hot loop, once per
-// splitting-oracle call, and must not allocate a map each time.
+// Membership and the traversals' visited marks share one workspace from
+// the epoch-stamped scratch pool (scratch.go): a view is made once per
+// splitting-oracle call, inside the recursion hot loop, so it must not
+// allocate or clear anything N-sized each time.
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Sub is a lightweight view of the induced subgraph G[W]. It shares the
-// parent graph's storage; membership is tracked by a mask indexed by parent
-// vertex id. A Sub is cheap to create (O(|W|)) given a reusable mask.
+// parent graph's storage; membership is a pooled epoch-stamped workspace
+// indexed by parent vertex id, so a view costs O(|W|) to create. Each
+// traversal marks the vertices it visits in that workspace, so a view
+// must not be traversed from two goroutines at once.
 type Sub struct {
 	G     *Graph
-	Verts []int32 // the vertex set W, in construction order
-	in    []bool  // in[v] == true iff v ∈ W; len == G.N()
+	Verts []int32  // the vertex set W, in construction order
+	in    *scratch // v ∈ W iff in.stamp[v] >= base; traversals mark with later epochs
+	base  int32
 }
 
-// NewSub creates a view of G[W]. The mask is allocated fresh.
+// NewSub creates a view of G[W]. Callers must Release it when done.
 func NewSub(g *Graph, W []int32) *Sub {
-	in := make([]bool, g.N())
+	in := acquireScratch(g.N())
 	for _, v := range W {
-		in[v] = true
+		in.stamp[v] = in.epoch
 	}
-	return &Sub{G: g, Verts: W, in: in}
+	return &Sub{G: g, Verts: W, in: in, base: in.epoch}
 }
 
-// NewSubWithMask creates a view reusing a caller-provided mask (which must
-// have length G.N() and be all-false). The caller must call Release before
-// reusing the mask elsewhere.
-func NewSubWithMask(g *Graph, W []int32, mask []bool) *Sub {
-	for _, v := range W {
-		mask[v] = true
+// nextMark starts a traversal: it returns an epoch that no member carries
+// yet, so a member is visited iff its stamp equals it.
+func (s *Sub) nextMark() int32 {
+	sc := s.in
+	if sc.epoch == math.MaxInt32 {
+		clear(sc.stamp)
+		for _, v := range s.Verts {
+			sc.stamp[v] = 1
+		}
+		sc.epoch, s.base = 1, 1
 	}
-	return &Sub{G: g, Verts: W, in: mask}
+	sc.epoch++
+	return sc.epoch
 }
 
-// Release clears the membership mask so it can be reused.
+// Release returns the membership workspace to the pool. The view must not
+// be used afterwards.
 func (s *Sub) Release() {
-	for _, v := range s.Verts {
-		s.in[v] = false
-	}
+	releaseScratch(s.in)
+	s.in = nil
 }
 
 // Contains reports whether parent vertex v is in W.
-func (s *Sub) Contains(v int32) bool { return s.in[v] }
+func (s *Sub) Contains(v int32) bool { return s.in.stamp[v] >= s.base }
 
 // Len returns |W|.
 func (s *Sub) Len() int { return len(s.Verts) }
-
-// EdgesWithin returns the edge ids of E(W) = {e : e ⊆ W}.
-func (s *Sub) EdgesWithin() []int32 {
-	sc := acquireScratch(0, s.G.M())
-	defer releaseScratch(sc)
-	var out []int32
-	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			if s.in[s.G.edgeU[e]] && s.in[s.G.edgeV[e]] && !sc.seenEdge(e) {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
-// CostWithin returns Σ_{e ∈ E(W)} f(c_e) without materializing the edge
-// list. f is applied to each within-edge cost exactly once.
-func (s *Sub) CostWithin(f func(c float64) float64) float64 {
-	total := 0.0
-	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			u2, v2 := s.G.edgeU[e], s.G.edgeV[e]
-			if !s.in[u2] || !s.in[v2] {
-				continue
-			}
-			// Count each within-edge at its smaller endpoint only.
-			if v == min32(u2, v2) {
-				total += f(s.G.Cost[e])
-			}
-		}
-	}
-	return total
-}
-
-// CostNormWithin returns ‖c|W‖_p: the p-norm of the costs of edges running
-// inside W, computed in two streaming passes (max for scaling, then the
-// scaled power sum — the same numerically stable scheme as PNorm) without
-// materializing the cost list.
-func (s *Sub) CostNormWithin(p float64) float64 {
-	n := 0
-	m := 0.0
-	s.eachWithinCost(func(c float64) {
-		n++
-		if c > m {
-			m = c
-		}
-	})
-	if n == 0 {
-		return 0
-	}
-	if math.IsInf(p, 1) {
-		return m
-	}
-	if p < 1 {
-		panic(fmt.Sprintf("graph: CostNormWithin with p=%v < 1", p))
-	}
-	if m == 0 {
-		return 0
-	}
-	sum := 0.0
-	s.eachWithinCost(func(c float64) {
-		sum += math.Pow(c/m, p)
-	})
-	return m * math.Pow(sum, 1/p)
-}
-
-// eachWithinCost applies f to the cost of every edge of E(W) exactly once
-// (counted at its smaller endpoint).
-func (s *Sub) eachWithinCost(f func(c float64)) {
-	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			u2, v2 := s.G.edgeU[e], s.G.edgeV[e]
-			if s.in[u2] && s.in[v2] && v == min32(u2, v2) {
-				f(s.G.Cost[e])
-			}
-		}
-	}
-}
-
-// WeightOf returns w(W) for the view's vertex set.
-func (s *Sub) WeightOf() float64 {
-	t := 0.0
-	for _, v := range s.Verts {
-		t += s.G.Weight[v]
-	}
-	return t
-}
-
-// BoundaryCostWithin returns ∂_W U: the cost of edges of G[W] with exactly
-// one endpoint in U. U must be a subset of W (given as a mask over parent
-// ids; entries outside W are ignored).
-func (s *Sub) BoundaryCostWithin(inU []bool) float64 {
-	t := 0.0
-	for _, v := range s.Verts {
-		if !inU[v] {
-			continue
-		}
-		for _, e := range s.G.IncidentEdges(v) {
-			o := s.G.Other(e, v)
-			if s.in[o] && !inU[o] {
-				t += s.G.Cost[e]
-			}
-		}
-	}
-	return t
-}
 
 // InducedCopy materializes G[W] as a standalone Graph. It returns the new
 // graph plus the mapping newID → parent vertex id. Weights and costs carry
 // over; edges with an endpoint outside W are dropped. The id translation
 // is a dense slice indexed by parent id (entries outside W are unused —
-// the membership mask guards every read) and the builder's edge storage is
+// the membership test guards every read) and the builder's edge storage is
 // preallocated from SizeWithin, so the copy allocates exactly what it
 // returns.
 func (s *Sub) InducedCopy() (*Graph, []int32) {
@@ -182,7 +81,7 @@ func (s *Sub) InducedCopy() (*Graph, []int32) {
 	for _, v := range s.Verts {
 		for _, e := range s.G.IncidentEdges(v) {
 			u2, v2 := s.G.edgeU[e], s.G.edgeV[e]
-			if s.in[u2] && s.in[v2] && v == min32(u2, v2) {
+			if s.Contains(u2) && s.Contains(v2) && v == min32(u2, v2) {
 				b.AddEdge(toNew[u2], toNew[v2], s.G.Cost[e])
 			}
 		}
@@ -194,7 +93,7 @@ func (s *Sub) InducedCopy() (*Graph, []int32) {
 func (s *Sub) DegreeWithin(v int32) int {
 	d := 0
 	for _, e := range s.G.IncidentEdges(v) {
-		if s.in[s.G.Other(e, v)] {
+		if s.Contains(s.G.Other(e, v)) {
 			d++
 		}
 	}
@@ -217,25 +116,27 @@ func min32(a, b int32) int32 {
 	return b
 }
 
-// bfsFrom appends the BFS order of start's component to order, using the
-// scratch's epoch stamps as visited state (shared across calls, which is
-// how Components walks every component with one workspace).
-func (s *Sub) bfsFrom(sc *scratch, start int32, order []int32) []int32 {
+// bfsFrom appends the BFS order of start's component to order, marking
+// visited members with mark (shared across calls, which is how Components
+// walks every component in one traversal).
+func (s *Sub) bfsFrom(mark, start int32, order []int32) []int32 {
 	head := len(order)
-	sc.seen(start)
-	return s.bfsDrain(sc, append(order, start), head)
+	s.in.stamp[start] = mark
+	return s.bfsDrain(mark, append(order, start), head)
 }
 
 // bfsDrain runs the BFS whose FIFO queue is order[head:]: the output slice
 // doubles as the queue, since a vertex is enqueued exactly when it is
 // emitted, so the order is identical to a separate-queue BFS.
-func (s *Sub) bfsDrain(sc *scratch, order []int32, head int) []int32 {
+func (s *Sub) bfsDrain(mark int32, order []int32, head int) []int32 {
+	st, base := s.in.stamp, s.base
 	for head < len(order) {
 		v := order[head]
 		head++
 		for _, e := range s.G.IncidentEdges(v) {
 			o := s.G.Other(e, v)
-			if s.in[o] && !sc.seen(o) {
+			if x := st[o]; x >= base && x != mark {
+				st[o] = mark
 				order = append(order, o)
 			}
 		}
@@ -250,20 +151,21 @@ func (s *Sub) bfsDrain(sc *scratch, order []int32, head int) []int32 {
 // BFS order of its component follows. Sources and starts must be in W;
 // duplicates are visited once. Passing every vertex of W among the starts
 // covers W exactly once. Deterministic for a fixed (W, sources, starts);
-// one scratch and one output slice serve the whole traversal.
+// one output slice serves the whole traversal.
 func (s *Sub) MultiBFSOrder(sources, starts []int32) []int32 {
-	sc := acquireScratch(s.G.N(), 0)
-	defer releaseScratch(sc)
+	mark := s.nextMark()
+	st := s.in.stamp
 	order := make([]int32, 0, len(s.Verts))
 	for _, v := range sources {
-		if !sc.seen(v) {
+		if st[v] != mark {
+			st[v] = mark
 			order = append(order, v)
 		}
 	}
-	order = s.bfsDrain(sc, order, 0)
+	order = s.bfsDrain(mark, order, 0)
 	for _, v := range starts {
-		if sc.stamp[v] != sc.epoch {
-			order = s.bfsFrom(sc, v, order)
+		if st[v] != mark {
+			order = s.bfsFrom(mark, v, order)
 		}
 	}
 	return order
@@ -271,14 +173,12 @@ func (s *Sub) MultiBFSOrder(sources, starts []int32) []int32 {
 
 // Components returns the connected components of G[W] as vertex lists.
 func (s *Sub) Components() [][]int32 {
-	sc := acquireScratch(s.G.N(), 0)
-	defer releaseScratch(sc)
+	mark := s.nextMark()
 	var comps [][]int32
 	for _, start := range s.Verts {
-		if sc.stamp[start] == sc.epoch {
-			continue
+		if s.in.stamp[start] != mark {
+			comps = append(comps, s.bfsFrom(mark, start, nil))
 		}
-		comps = append(comps, s.bfsFrom(sc, start, nil))
 	}
 	return comps
 }
@@ -295,6 +195,7 @@ func AllVertices(g *Graph) []int32 {
 // Components returns the connected components of the whole graph.
 func (g *Graph) Components() [][]int32 {
 	s := NewSub(g, AllVertices(g))
+	defer s.Release()
 	return s.Components()
 }
 

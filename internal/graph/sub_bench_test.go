@@ -37,7 +37,7 @@ func benchSub(b *testing.B, rows, cols int) *Sub {
 // once per splitting-oracle call inside the decomposition recursion; the
 // epoch-stamped scratch buffers replaced one map allocation per call, and
 // the allocs/op column is the witness (BFSOrder/Components allocate only
-// their output, EdgesWithin only the edge list, CostNormWithin nothing).
+// their output).
 func BenchmarkSubTraversal(b *testing.B) {
 	for _, side := range []int{64, 128} {
 		s := benchSub(b, side, side)
@@ -55,22 +55,6 @@ func BenchmarkSubTraversal(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if got := s.Components(); len(got) == 0 {
 					b.Fatal("no components")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("EdgesWithin/%dx%d", side, side), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := s.EdgesWithin(); len(got) == 0 {
-					b.Fatal("no edges")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("CostNormWithin/%dx%d", side, side), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if s.CostNormWithin(2) <= 0 {
-					b.Fatal("zero norm")
 				}
 			}
 		})

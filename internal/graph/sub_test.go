@@ -16,29 +16,47 @@ func TestSubBasics(t *testing.T) {
 	if !s.Contains(2) || s.Contains(0) {
 		t.Fatal("membership wrong")
 	}
-	edges := s.EdgesWithin()
-	if len(edges) != 2 { // (1,2) and (2,3)
-		t.Fatalf("EdgesWithin = %d edges, want 2", len(edges))
-	}
-	if got := s.WeightOf(); got != 3 {
-		t.Fatalf("WeightOf = %v, want 3", got)
-	}
-	if got := s.SizeWithin(); got != 5 {
+	if got := s.SizeWithin(); got != 5 { // 3 vertices, edges (1,2) and (2,3)
 		t.Fatalf("SizeWithin = %v, want 5", got)
 	}
 }
 
+// TestSubRelease pins the pooled membership: a view holds exactly its W,
+// and a view made after a Release starts from its own W even when it
+// reuses the released workspace.
 func TestSubRelease(t *testing.T) {
 	g := path(4)
-	mask := make([]bool, g.N())
-	s := NewSubWithMask(g, []int32{0, 1}, mask)
-	if !mask[0] || !mask[1] {
-		t.Fatal("mask not set")
+	s := NewSub(g, []int32{0, 1})
+	for v := int32(0); v < 4; v++ {
+		if s.Contains(v) != (v < 2) {
+			t.Fatalf("Contains(%d) = %v for W = {0, 1}", v, s.Contains(v))
+		}
 	}
 	s.Release()
-	for _, b := range mask {
-		if b {
-			t.Fatal("mask not cleared")
+	for i := 0; i < 4; i++ {
+		s = NewSub(g, []int32{3})
+		if s.Contains(0) || s.Contains(1) || !s.Contains(3) {
+			t.Fatal("a view made after a release kept a released member")
+		}
+		s.Release()
+	}
+}
+
+// TestSubMarkWrap pins the epoch wrap of a view's traversal marks: a
+// traversal that starts at the last epoch re-stamps W, then orders and
+// tests membership exactly as before.
+func TestSubMarkWrap(t *testing.T) {
+	g := path(6)
+	s := NewSub(g, []int32{1, 2, 3, 5})
+	defer s.Release()
+	want := s.MultiBFSOrder(nil, []int32{1, 5})
+	s.in.epoch = math.MaxInt32
+	if got := s.MultiBFSOrder(nil, []int32{1, 5}); !slices.Equal(got, want) {
+		t.Fatalf("order after the wrap %v, want %v", got, want)
+	}
+	for v := int32(0); v < 6; v++ {
+		if s.Contains(v) != (v != 0 && v != 4) {
+			t.Fatalf("Contains(%d) = %v after the wrap", v, s.Contains(v))
 		}
 	}
 }
@@ -65,33 +83,6 @@ func TestMarks(t *testing.T) {
 			t.Fatal("a re-acquired set kept a released mark")
 		}
 		m.Release()
-	}
-}
-
-func TestCostNormWithin(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1, 3)
-	b.AddEdge(1, 2, 4)
-	b.AddEdge(2, 3, 100)
-	g := b.MustBuild()
-	s := NewSub(g, []int32{0, 1, 2})
-	if got := s.CostNormWithin(2); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("‖c|W‖₂ = %v, want 5", got)
-	}
-	if got := s.CostWithin(func(c float64) float64 { return c }); got != 7 {
-		t.Fatalf("Σc|W = %v, want 7", got)
-	}
-}
-
-func TestBoundaryCostWithin(t *testing.T) {
-	g := path(5)
-	s := NewSub(g, []int32{1, 2, 3})
-	inU := make([]bool, g.N())
-	inU[1] = true
-	inU[2] = true
-	// Within G[{1,2,3}], ∂{1,2} is just edge (2,3); edge (0,1) is outside W.
-	if got := s.BoundaryCostWithin(inU); got != 1 {
-		t.Fatalf("∂_W U = %v, want 1", got)
 	}
 }
 
@@ -228,8 +219,17 @@ func TestComponentsPartitionWeight(t *testing.T) {
 		if count != len(W) {
 			t.Fatalf("components cover %d vertices, want %d", count, len(W))
 		}
-		if math.Abs(total-s.WeightOf()) > 1e-9 {
-			t.Fatalf("component weight %v != sub weight %v", total, s.WeightOf())
+		if math.Abs(total-weightOf(g, W)) > 1e-9 {
+			t.Fatalf("component weight %v != sub weight %v", total, weightOf(g, W))
 		}
 	}
+}
+
+// weightOf returns w(W).
+func weightOf(g *Graph, W []int32) float64 {
+	t := 0.0
+	for _, v := range W {
+		t += g.Weight[v]
+	}
+	return t
 }

@@ -31,9 +31,9 @@ func GraphHash(g *graph.Graph) string {
 //
 // Parallelism is deliberately excluded: per the core.Options contract it
 // changes where the work runs, never which coloring comes out, so runs at
-// different parallelism share one cache entry. Splitter, SplitterFactory
-// and Measures have no wire representation and must be zero (the handlers
-// never set them). Multilevel is included as its raw field values: the
+// different parallelism share one cache entry. Splitter and Measures do
+// change colorings, but they have no wire representation: the key stays
+// sound only because the handlers never set them. Multilevel is included as its raw field values: the
 // in-core defaults resolve against K, which is already in the key, so
 // equal keys always mean equal effective configurations (the cache-key
 // soundness rule of DESIGN.md §9); direct-path keys keep the historical
@@ -42,9 +42,8 @@ func OptionsKey(opt repro.Options) string {
 	// The exemptions below are machine-checked by the cachekey analyzer
 	// (DESIGN.md §13): every non-exempt Options field must feed the key.
 	//repro:cachekey-exempt Parallelism — placement-only, never changes the coloring (DESIGN.md §9)
-	//repro:cachekey-exempt Splitter — no wire representation; handlers require it zero (DESIGN.md §9)
-	//repro:cachekey-exempt SplitterFactory — no wire representation; handlers require it zero (DESIGN.md §9)
-	//repro:cachekey-exempt Measures — observability sink only, no result influence (DESIGN.md §9)
+	//repro:cachekey-exempt Splitter — changes colorings, but has no wire representation and handlers never set it (DESIGN.md §9)
+	//repro:cachekey-exempt Measures — changes colorings, but has no wire representation and handlers never set it (DESIGN.md §9)
 	//repro:cachekey-exempt Observer — observability sink only, no result influence (DESIGN.md §9)
 	p := opt.P
 	if p == 0 {

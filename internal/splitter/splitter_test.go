@@ -73,10 +73,12 @@ func TestBFSOrderCoversW(t *testing.T) {
 }
 
 // TestBFSOrderAllocations pins BFSOrder's allocations to a constant: the
-// sorted copy, the Sub view with its mask, and the output, however many
-// components G[W] has. Ordering component by component with a visited map,
-// a fresh traversal scratch and a |W|-capacity slice per component cost
-// thousands of objects (and megabytes) on this W.
+// sorted copy, the Sub view, and the output, however many components G[W]
+// has, and their bytes to O(|W|), however large the graph. Ordering
+// component by component with a visited map, a fresh traversal scratch and
+// a |W|-capacity slice per component cost thousands of objects (and
+// megabytes) on the first W; an N-long membership mask per view cost more
+// bytes than the second W's whole order.
 func TestBFSOrderAllocations(t *testing.T) {
 	g := pathGraph(4000)
 	var W []int32 // the even ids: 2000 isolated components
@@ -89,6 +91,28 @@ func TestBFSOrderAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, func() { BFSOrder(g, W) }); got > 6 {
 		t.Fatalf("BFSOrder allocates %.1f objects per call on 2000 components, want ≤ 6", got)
+	}
+
+	if raceEnabled {
+		return // the race detector's pool drops workspaces; see raceEnabled
+	}
+	const n = 1 << 16
+	big := pathGraph(n)
+	small := make([]int32, 16) // a 16-vertex W in the middle of the path
+	for i := range small {
+		small[i] = n/2 + int32(i)
+	}
+	if got := BFSOrder(big, small); len(got) != len(small) || got[0] != small[0] {
+		t.Fatalf("order %v of the small W, want the path from %d", got, small[0])
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			BFSOrder(big, small)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= n {
+		t.Fatalf("BFSOrder allocates %d bytes per call on a 16-vertex W, want < N = %d", got, n)
 	}
 }
 
@@ -171,7 +195,6 @@ func TestRefinedImprovesOrKeeps(t *testing.T) {
 		if !CheckWindow(U1, W, w, target) {
 			t.Fatalf("trial %d: refined window violated", trial)
 		}
-		sub := graph.NewSub(g, W)
 		in0 := make([]bool, g.N())
 		for _, v := range U0 {
 			in0[v] = true
@@ -180,13 +203,33 @@ func TestRefinedImprovesOrKeeps(t *testing.T) {
 		for _, v := range U1 {
 			in1[v] = true
 		}
-		c0 := sub.BoundaryCostWithin(in0)
-		c1 := sub.BoundaryCostWithin(in1)
-		sub.Release()
+		c0 := boundaryCostWithin(g, W, in0)
+		c1 := boundaryCostWithin(g, W, in1)
 		if c1 > c0+1e-9 {
 			t.Fatalf("trial %d: refinement worsened cut %v -> %v", trial, c0, c1)
 		}
 	}
+}
+
+// boundaryCostWithin returns ∂_W U: the cost of the edges of G[W] with
+// exactly one endpoint in U, for U ⊆ W given as a mask over vertex ids.
+func boundaryCostWithin(g *graph.Graph, W []int32, inU []bool) float64 {
+	inW := make([]bool, g.N())
+	for _, v := range W {
+		inW[v] = true
+	}
+	t := 0.0
+	for _, v := range W {
+		if !inU[v] {
+			continue
+		}
+		for _, e := range g.IncidentEdges(v) {
+			if o := g.Other(e, v); inW[o] && !inU[o] {
+				t += g.Cost[e]
+			}
+		}
+	}
+	return t
 }
 
 func TestGridAdapterWindowAndQuality(t *testing.T) {

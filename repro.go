@@ -13,9 +13,9 @@
 //     σ_p is the graph's p-splittability (Definition 3).
 //
 // The API is built around a long-lived Engine (policy: parallelism,
-// splitting-oracle factory, verification, observability) minting Instance
-// handles (per-graph session state: content hash, current coloring,
-// migration history). Every run takes a context.Context and cancels
+// multilevel path, verification, observability) minting Instance handles
+// (per-graph session state: content hash, current coloring, migration
+// history). Every run takes a context.Context and cancels
 // mid-pipeline. Quick start:
 //
 //	eng := repro.NewEngine()
@@ -119,8 +119,8 @@ func PartitionBatch(gs []*graph.Graph, opt Options) ([]Result, error) {
 // the migration volume (see MigrationOf) tracks the size of the drift.
 // The result carries the same strict-balance guarantee as Partition.
 //
-// Deprecated: use Instance.Repartition, which reuses the session's cached
-// oracle and content-hash topology digest across the drift chain, or
+// Deprecated: use Instance.Repartition, which reuses the session's
+// content-hash topology digest across the drift chain, or
 // Engine.Repartition for a one-shot cancellable resume.
 func Repartition(g *graph.Graph, opt Options, prior []int32) (Result, error) {
 	return defaultEngine.Repartition(context.Background(), g, opt, prior)

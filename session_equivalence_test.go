@@ -4,9 +4,9 @@ package repro
 // and its current coloring, never on how the session was started: one
 // started by Instance.Partition and one seeded with AdoptColoring must
 // agree step by step through a drift-and-churn chain, and a full
-// Partition must equal the engine's one-shot run on the same graph with
-// the session's oracle. Along the chain, a topology delta polishes only
-// its dirty region.
+// Partition must equal the engine's one-shot run on the same graph and
+// options. Along the chain, a topology delta polishes only its dirty
+// region.
 
 import (
 	"context"
@@ -15,7 +15,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/grid"
 	"repro/internal/splitter"
 	"repro/internal/workload"
 )
@@ -60,16 +62,6 @@ func dayNightScale(n, cols, step int) Delta {
 	return d
 }
 
-// sessionOracle returns the splitting oracle an Instance resolved for its
-// current graph. NewInstance mints it eagerly, so a one-shot run must be
-// handed the same oracle to run the same pipeline: with none, the
-// multilevel stage would warm-start the finest level instead.
-func sessionOracle(in *Instance) splitter.Splitter {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.opt.Splitter
-}
-
 func TestPartitionedAndAdoptedSessionsAgree(t *testing.T) {
 	const side, k, steps = 48, 8, 12
 	ctx := context.Background()
@@ -84,7 +76,7 @@ func TestPartitionedAndAdoptedSessionsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := eng.PartitionWithOptions(ctx, g, Options{K: k, Splitter: sessionOracle(a)})
+	one, err := eng.PartitionWithOptions(ctx, g, Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +157,7 @@ func TestPartitionedAndAdoptedSessionsAgree(t *testing.T) {
 	// A full Partition of the drifted graph is the one-shot run on it,
 	// whichever way the session was started.
 	cur := a.Graph()
-	one, err = eng.PartitionWithOptions(ctx, cur, Options{K: k, Splitter: sessionOracle(a)})
+	one, err = eng.PartitionWithOptions(ctx, cur, Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +169,86 @@ func TestPartitionedAndAdoptedSessionsAgree(t *testing.T) {
 		if !slices.Equal(res.Coloring, one.Coloring) {
 			t.Fatal("Partition of the drifted session differs from Engine.PartitionWithOptions")
 		}
+	}
+}
+
+// TestGridInstanceKeepsItsOracle pins the supplied-oracle branch of a
+// session: NewGridInstance's GridSplit oracle serves the session's
+// partition and its weight-only deltas, and a topology delta drops it for
+// core's default, each exactly as the one-shot entry point run with that
+// oracle. Both deltas unbalance the session coloring, so the resumed runs
+// consult the oracle and the comparisons can tell the oracles apart.
+func TestGridInstanceKeepsItsOracle(t *testing.T) {
+	const side, k, p = 20, 6, 2 // p = d/(d−1) on a 2-D grid
+	ctx := context.Background()
+	eng := NewEngine(WithVerification(VerifyResults))
+	gr := grid.MustBox(side, side)
+	in, err := eng.NewGridInstance(gr, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := in.Partition(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := eng.PartitionGrid(ctx, gr, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Coloring, one.Coloring) {
+		t.Fatal("Instance.Partition differs from Engine.PartitionGrid")
+	}
+
+	drift := dayNightScale(gr.G.N(), side, 1)
+	ap, err := drift.Apply(in.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := in.Repartition(ctx, drift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Repartition(ctx, ap.Graph, Options{K: k, P: p, Splitter: splitter.NewGrid(gr)}, res.Coloring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Diag.SplitterCalls == 0 {
+		t.Fatal("the drift left the coloring strictly balanced: no oracle call to compare")
+	}
+	if !slices.Equal(got.Coloring, want.Coloring) {
+		t.Fatal("a weight-only delta did not keep the GridSplit oracle")
+	}
+	dflt, err := eng.Repartition(ctx, ap.Graph, Options{K: k, P: p}, res.Coloring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(dflt.Coloring, want.Coloring) {
+		t.Fatal("GridSplit and the default oracle agree on the drift: the check above cannot tell them apart")
+	}
+
+	// Heavy vertices hung off vertex 0 all join its class.
+	churn := Delta{AddVertices: make([]float64, 8)}
+	for i := range churn.AddVertices {
+		churn.AddVertices[i] = 4
+		churn.AddEdges = append(churn.AddEdges, EdgeChange{U: int32(gr.G.N() + i), V: 0, Cost: 1})
+	}
+	ap, err = churn.Apply(in.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := seedAcross(ap.Graph, ap.Topo, in.Coloring(), k)
+	got, err = in.Repartition(ctx, churn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = core.Refine(ctx, ap.Graph, Options{K: k, P: p}, seed, ap.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Diag.SplitterCalls == 0 {
+		t.Fatal("the churn left the coloring strictly balanced: no oracle call to compare")
+	}
+	if !slices.Equal(got.Coloring, want.Coloring) {
+		t.Fatal("a topology delta did not fall back to the default oracle")
 	}
 }
