@@ -1,16 +1,18 @@
 package repro
 
-// These tests exercise the batch fan-out through the deprecated
-// PartitionBatch wrapper on purpose: they pin that the wrapper still
-// delegates to Engine.Batch with unchanged semantics (indexing, the
-// *BatchError aggregation, the nil-Splitter guard). Cancellation-specific
-// Batch behavior lives in cancel_test.go on the Engine API directly.
+// These tests pin Engine.Batch's fan-out semantics: indexing, the
+// *BatchError aggregation, the nil-Splitter guard and Observer
+// forwarding. Cancellation-specific Batch behavior lives in
+// cancel_test.go.
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/splitter"
@@ -22,8 +24,9 @@ func TestPartitionBatchMatchesIndividualRuns(t *testing.T) {
 	for i := range gs {
 		gs[i] = workload.ClimateMesh(16, 16, 3, int64(i+1))
 	}
+	eng, ctx := NewEngine(), context.Background()
 	opt := Options{K: 8, Parallelism: 4}
-	batch, err := PartitionBatch(gs, opt)
+	batch, err := eng.Batch(ctx, gs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func TestPartitionBatchMatchesIndividualRuns(t *testing.T) {
 		t.Fatalf("got %d results for %d instances", len(batch), len(gs))
 	}
 	for i, g := range gs {
-		solo, err := PartitionWithOptions(g, Options{K: 8, Parallelism: 1})
+		solo, err := eng.PartitionWithOptions(ctx, g, Options{K: 8, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,20 +52,21 @@ func TestPartitionBatchMatchesIndividualRuns(t *testing.T) {
 
 func TestPartitionBatchErrors(t *testing.T) {
 	gs := []*graph.Graph{workload.ClimateMesh(8, 8, 2, 1)}
-	if _, err := PartitionBatch(gs, Options{K: 0}); err == nil {
+	eng, ctx := NewEngine(), context.Background()
+	if _, err := eng.Batch(ctx, gs, Options{K: 0}); err == nil {
 		t.Fatal("expected K error to propagate from batch instances")
 	} else if !strings.Contains(err.Error(), "instance 0") {
 		t.Fatalf("error %q does not identify the failing instance", err)
 	}
-	if _, err := PartitionBatch(gs, Options{K: 2, Splitter: splitter.NewBFS(gs[0])}); err == nil {
+	if _, err := eng.Batch(ctx, gs, Options{K: 2, Splitter: splitter.NewBFS(gs[0])}); err == nil {
 		t.Fatal("expected rejection of a shared Splitter in batch mode")
 	}
-	if rs, err := PartitionBatch(nil, Options{K: 4}); err != nil || len(rs) != 0 {
+	if rs, err := eng.Batch(ctx, nil, Options{K: 4}); err != nil || len(rs) != 0 {
 		t.Fatalf("empty batch: got %d results, err %v", len(rs), err)
 	}
 	// Negative parallelism follows the Options contract: sequential, not
 	// GOMAXPROCS fan-out, and still produces the standard result.
-	rs, err := PartitionBatch(gs, Options{K: 2, Parallelism: -1})
+	rs, err := eng.Batch(ctx, gs, Options{K: 2, Parallelism: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestPartitionBatchAggregatesErrors(t *testing.T) {
 		workload.ClimateMesh(8, 8, 2, 1),
 		workload.ClimateMesh(8, 8, 2, 2),
 	}
-	_, err := PartitionBatch(gs, Options{K: 2, P: 0.5})
+	_, err := NewEngine().Batch(context.Background(), gs, Options{K: 2, P: 0.5})
 	if err == nil {
 		t.Fatal("expected batch failure for invalid P")
 	}
@@ -99,5 +103,41 @@ func TestPartitionBatchAggregatesErrors(t *testing.T) {
 	}
 	if !strings.Contains(be.Error(), "2 of 2") || !strings.Contains(be.Error(), "instance 0") {
 		t.Fatalf("summary %q lacks count or first index", be.Error())
+	}
+}
+
+// TestBatchForwardsObserver checks that Batch reports through the
+// engine's Observer like every other entry point: each instance's oracle
+// calls arrive as OracleCall events, however the workers interleave them,
+// so their count equals the results' summed Diag.SplitterCalls.
+func TestBatchForwardsObserver(t *testing.T) {
+	gs := make([]*graph.Graph, 4)
+	for i := range gs {
+		gs[i] = workload.ClimateMesh(16, 16, 3, int64(i+1))
+	}
+	var calls, rounds atomic.Int64
+	obs := &funcObserver{
+		enter:       func(StageName) {},
+		leave:       func(StageName, time.Duration) {},
+		oracle:      func(int64) { calls.Add(1) },
+		polishRound: func(int, bool) { rounds.Add(1) },
+	}
+	eng := NewEngine(WithObserver(obs))
+	rs, err := eng.Batch(context.Background(), gs, Options{K: 8, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, r := range rs {
+		want += r.Diag.SplitterCalls
+	}
+	if want == 0 {
+		t.Fatal("batch made no oracle calls; the test premise is gone")
+	}
+	if got := calls.Load(); got != want {
+		t.Fatalf("observer saw %d oracle calls, results report %d", got, want)
+	}
+	if rounds.Load() == 0 {
+		t.Fatal("observer saw no polish rounds")
 	}
 }

@@ -70,9 +70,10 @@ func BenchmarkGridSplitHighFluctuation(b *testing.B) {
 func BenchmarkDecomposeGrid32x32K16(b *testing.B) {
 	gr := grid.MustBox(32, 32)
 	workload.ApplyFields(gr, workload.LognormalWeights(0.5), nil, 1)
+	eng := NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PartitionGrid(gr, 16); err != nil {
+		if _, err := eng.PartitionGrid(context.Background(), gr, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,9 +81,10 @@ func BenchmarkDecomposeGrid32x32K16(b *testing.B) {
 
 func BenchmarkDecomposeClimateMeshK16(b *testing.B) {
 	mesh := workload.ClimateMesh(24, 24, 4, 1)
+	eng := NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(mesh, 16); err != nil {
+		if _, err := eng.Partition(context.Background(), mesh, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,16 +129,17 @@ func benchSeqVsPar(b *testing.B, run func(par int) []Result) {
 // BenchmarkDecomposeParallel reports the sequential-vs-parallel speedup of
 // the decomposition engine on the two instance families of the paper: exact
 // grid instances (Section 6 oracle) and climate meshes (BFS+FM oracle),
-// plus the PartitionBatch fan-out over many independent instances. The
+// plus the Engine.Batch fan-out over many independent instances. The
 // grid case meets the 256×256, k = 16 scale of the acceptance bar; the
 // "speedup" metric is expected ≥ 1.5 on a multi-core runner and ≈ 1 on a
 // single hardware thread.
 func BenchmarkDecomposeParallel(b *testing.B) {
+	eng := NewEngine()
 	b.Run("Grid256x256K16", func(b *testing.B) {
 		gr := grid.MustBox(256, 256)
 		workload.ApplyFields(gr, workload.LognormalWeights(0.5), nil, 1)
 		benchSeqVsPar(b, func(par int) []Result {
-			res, err := PartitionWithOptions(gr.G, Options{
+			res, err := eng.PartitionWithOptions(context.Background(), gr.G, Options{
 				K: 16, P: gr.P(), Splitter: splitter.NewGrid(gr), Parallelism: par,
 			})
 			if err != nil {
@@ -148,7 +151,7 @@ func BenchmarkDecomposeParallel(b *testing.B) {
 	b.Run("ClimateMesh96x96K16", func(b *testing.B) {
 		mesh := workload.ClimateMesh(96, 96, 4, 1)
 		benchSeqVsPar(b, func(par int) []Result {
-			res, err := PartitionWithOptions(mesh, Options{K: 16, Parallelism: par})
+			res, err := eng.PartitionWithOptions(context.Background(), mesh, Options{K: 16, Parallelism: par})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -161,7 +164,7 @@ func BenchmarkDecomposeParallel(b *testing.B) {
 			gs[i] = workload.ClimateMesh(48, 48, 4, int64(i+1))
 		}
 		benchSeqVsPar(b, func(par int) []Result {
-			rs, err := PartitionBatch(gs, Options{K: 16, Parallelism: par})
+			rs, err := eng.Batch(context.Background(), gs, Options{K: 16, Parallelism: par})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -340,9 +343,10 @@ var driftFactors = [4]func(v int) float64{
 // drift chain, comparing three ways to absorb the 4-step day/night cycle:
 //
 //   - scratch: a full pipeline run per step (the do-nothing baseline);
-//   - freefunc: the deprecated stateless path as the serving layer used
+//   - freefunc: the stateless one-shot path as the serving layer used
 //     it — clone the instance, apply the drift, re-derive the content
-//     identity with a full O(N + M log M) hash, resume via Repartition;
+//     identity with a full O(N + M log M) hash, resume via
+//     Engine.Repartition;
 //   - instance: Instance.Repartition — the session owns the graph, the
 //     topology digest is frozen, so each step pays only the O(N) weight
 //     re-hash plus the resumed pipeline.
@@ -390,7 +394,7 @@ func BenchmarkRepartitionDrift(b *testing.B) {
 					g.Weight[v] = base.Weight[v] * f(v)
 				}
 				_ = graph.ContentHash(g) // per-step identity, from scratch
-				warm, err := Repartition(g, Options{K: 16}, chi)
+				warm, err := eng.Repartition(context.Background(), g, Options{K: 16}, chi)
 				if err != nil || !warm.Stats.StrictlyBalanced {
 					b.Fatalf("freefunc step failed: %v", err)
 				}

@@ -306,7 +306,7 @@ func TestRepartitionChurnChainProperty(t *testing.T) {
 				t.Logf("seed %d step %d: session hash %s != canonical %s", seed, s, inst.Hash(), graph.ContentHash(g2))
 				return false
 			}
-			scratch, err := PartitionWithOptions(g2, opt)
+			scratch, err := eng.PartitionWithOptions(context.Background(), g2, opt)
 			if err != nil {
 				t.Logf("seed %d step %d: scratch: %v", seed, s, err)
 				return false

@@ -205,7 +205,7 @@ func suite() []exp {
 func main() {
 	quick := flag.Bool("quick", false, "run at reduced instance sizes")
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E1,E4)")
-	batch := flag.Int("batch", 0, "instead of the experiment suite, run a batch of this many climate-mesh instances through PartitionBatch")
+	batch := flag.Int("batch", 0, "instead of the experiment suite, run a batch of this many climate-mesh instances through Engine.Batch")
 	batchSize := flag.Int("batchsize", 48, "side length of each batch instance")
 	kFlag := flag.Int("k", 16, "number of parts for -batch / -multilevel")
 	par := flag.Int("par", 0, "worker-pool bound for -batch (0 = GOMAXPROCS)")

@@ -1,7 +1,7 @@
 // Command reprolint is the multichecker driver for the repro static
 // analysis suite (internal/analysis): it mechanically enforces the
-// determinism, cancellation, observer-pairing, atomic-discipline,
-// cache-key-soundness, and deprecation invariants DESIGN.md §13 catalogs.
+// determinism, cancellation, observer-pairing, atomic-discipline and
+// cache-key-soundness invariants DESIGN.md §13 catalogs.
 //
 // Canonical invocation (module-wide, cross-package facts included):
 //

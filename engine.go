@@ -94,9 +94,9 @@ func WithParallelism(n int) EngineOption {
 }
 
 // WithObserver attaches progress hooks to every run whose
-// Options.Observer is nil. The observer must be cheap and safe for
-// concurrent use (see Observer); Batch runs do not forward it, since
-// interleaved events from fan-out instances cannot be attributed.
+// Options.Observer is nil, Batch instances included. The observer must be
+// cheap and safe for concurrent use (see Observer): events from
+// concurrent runs interleave with no run identity.
 func WithObserver(o Observer) EngineOption {
 	return func(e *Engine) { e.obs = o }
 }
@@ -233,18 +233,17 @@ func (e *Engine) Repartition(ctx context.Context, g *graph.Graph, opt Options, p
 // the cut.
 //
 // opt.Splitter must be nil (oracles are graph-bound; each instance runs
-// with core's default oracle for its own graph) and the engine's Observer
-// is not forwarded (fan-out events cannot be attributed to an instance).
+// with core's default oracle for its own graph). The run's Observer —
+// opt.Observer, else the engine's — sees every instance's events, which
+// interleave across workers with no instance identity (see Observer).
 func (e *Engine) Batch(ctx context.Context, gs []*graph.Graph, opt Options) ([]Result, error) {
 	if opt.Splitter != nil {
 		return nil, fmt.Errorf("repro: Batch requires a nil Splitter (oracles are bound to a single graph)")
 	}
+	inner := e.resolve(opt)
 	// Same resolution rules as Options.Parallelism: 0 defaults to the
 	// engine, then the machine width; negatives mean sequential.
-	workers := opt.Parallelism
-	if workers == 0 {
-		workers = e.par
-	}
+	workers := inner.Parallelism
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -254,7 +253,6 @@ func (e *Engine) Batch(ctx context.Context, gs []*graph.Graph, opt Options) ([]R
 	if workers > len(gs) {
 		workers = len(gs)
 	}
-	inner := opt
 	inner.Parallelism = 1
 
 	results := make([]Result, len(gs))
@@ -276,11 +274,9 @@ func (e *Engine) Batch(ctx context.Context, gs []*graph.Graph, opt Options) ([]R
 					errs[i] = err
 					continue
 				}
-				ropt := e.resolve(inner)
-				ropt.Observer = nil // fan-out events cannot be attributed; see doc
-				res, err := core.Decompose(ctx, gs[i], ropt)
+				res, err := core.Decompose(ctx, gs[i], inner)
 				if err == nil {
-					err = e.audit(gs[i], ropt, res)
+					err = e.audit(gs[i], inner, res)
 				}
 				if err != nil {
 					errs[i] = err

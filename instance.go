@@ -18,7 +18,7 @@ import (
 // on day-time", re-decomposed continuously), extended to topology churn:
 // deltas may also add and remove vertices and edges (mesh refinement,
 // region failure, nodes joining and leaving). It owns the per-graph
-// state that the stateless free functions recompute on every call:
+// state that the engine's one-shot runs recompute on every call:
 //
 //   - the graph and its canonical SHA-256 content hash, with the
 //     topology half of the hash kept as an incrementally patchable digest

@@ -10,6 +10,5 @@ func All() []*Analyzer {
 		StagePair,
 		AtomicField,
 		CacheKey,
-		DeprecatedCall,
 	}
 }

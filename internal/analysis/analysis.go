@@ -22,7 +22,8 @@ type Analyzer struct {
 	Doc string
 	// Directive is the suppression token of this analyzer's diagnostics:
 	// a comment `//repro:<Directive> <reason citing DESIGN.md §N>` on the
-	// flagged line (or the line above) silences them.
+	// flagged line (or the line above) silences them — except cachekey's,
+	// which exempts one field and never a line (see fieldDirectives).
 	Directive string
 	// Run analyzes one package.
 	Run func(*Pass) error

@@ -30,10 +30,6 @@ func TestCacheKey(t *testing.T) {
 	analysistest.Run(t, fixture("cachekey"), analysis.CacheKey)
 }
 
-func TestDeprecatedCall(t *testing.T) {
-	analysistest.Run(t, fixture("deprecated"), analysis.DeprecatedCall)
-}
-
 // TestDirectiveValidation pins the suppression-grammar checks that ride
 // along under the analyzer name "reprolint" (unknown directives, missing
 // DESIGN.md citations). It runs the full suite so every registered

@@ -19,18 +19,18 @@
 //
 //	//repro:<directive> <reason citing DESIGN.md §N>
 //
-// where <directive> is the flagging analyzer's directive token (e.g.
-// nondeterministic-ok, checkpoint-ok, stagepair-ok, atomic-ok,
-// deprecated-ok). Every suppression must cite the DESIGN.md section that
-// audits the site; a suppression without a "DESIGN.md §" citation is
-// itself a diagnostic, as is an unknown //repro: directive. Two further
+// where <directive> is the flagging analyzer's directive token
+// (nondeterministic-ok, checkpoint-ok, stagepair-ok, atomic-ok). Every
+// suppression must cite the DESIGN.md section that audits the site; a
+// suppression without a "DESIGN.md §" citation is itself a diagnostic, as is an unknown //repro: directive. Two further
 // directives are declarations rather than suppressions and need no
 // citation: //repro:atomic on a struct field declares that the field is
 // governed by the atomic-discipline invariant even when no direct
 // atomic.<Op>(&x.f) call names it, and //repro:deterministic-core in any
 // file opts a whole package into the deterministic-core analyzer scope.
 // The cachekey analyzer has its own field-level exemption form,
-// //repro:cachekey-exempt <Field> <reason citing DESIGN.md §N>.
+// //repro:cachekey-exempt <Field> <reason citing DESIGN.md §N>, which
+// exempts the named field only and silences no line.
 //
 // See DESIGN.md §13 for the analyzer-by-analyzer catalogue.
 package analysis

@@ -9,12 +9,12 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestAllRegistry pins the analyzer registry: the suite ISSUE and
-// DESIGN.md §13 promise these six checks, each with a distinct
-// suppression directive and documentation.
+// TestAllRegistry pins the analyzer registry: DESIGN.md §13 catalogues
+// these five checks, each with a distinct suppression directive and
+// documentation.
 func TestAllRegistry(t *testing.T) {
 	all := analysis.All()
-	wantNames := []string{"determinism", "ctxcheckpoint", "stagepair", "atomicfield", "cachekey", "deprecated"}
+	wantNames := []string{"determinism", "ctxcheckpoint", "stagepair", "atomicfield", "cachekey"}
 	if len(all) != len(wantNames) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(wantNames))
 	}

@@ -29,6 +29,15 @@ var markerDirectives = map[string]bool{
 	"deterministic-core": true,
 }
 
+// fieldDirectives are read by their own analyzer, which scopes each one
+// to the field it names (cachekey's exemptions). The runner validates
+// their citation like any suppression's but never indexes them by line:
+// cachekey reports every diagnostic at the OptionsKey name, so an
+// exemption written just above it would otherwise silence them all.
+var fieldDirectives = map[string]bool{
+	"cachekey-exempt": true,
+}
+
 // citesDesign reports whether a suppression reason carries the mandatory
 // DESIGN.md section citation.
 func citesDesign(reason string) bool {
@@ -110,6 +119,9 @@ func buildSuppressionIndex(fset *token.FileSet, pkgs []*Package, analyzers []*An
 							Pos:      pos,
 							Message:  fmt.Sprintf("suppression //repro:%s must cite the DESIGN.md section that audits this site (e.g. “DESIGN.md §13”)", d),
 						})
+					}
+					if fieldDirectives[d] {
+						continue
 					}
 					lines := idx.byFile[pos.Filename]
 					if lines == nil {

@@ -37,7 +37,7 @@ type Options struct {
 	Observer Observer
 
 	// Parallelism bounds the worker pool used by the pipeline's
-	// divide-and-conquer stages (and by PartitionBatch at the facade).
+	// divide-and-conquer stages (and by Engine.Batch at the facade).
 	// 0 defaults to runtime.GOMAXPROCS(0); 1 runs fully sequentially,
 	// reproducing the single-threaded behavior bit-for-bit; values < 0 are
 	// treated as 1. The coloring is deterministic for a given graph and

@@ -38,15 +38,6 @@ type Multilevel struct {
 	MinVertices int
 	// MaxLevels caps the hierarchy depth. 0 defaults to 24.
 	MaxLevels int
-	// ColdOracles disables the cross-level warm-start oracle: per-level
-	// refines then cold-start their default BFS prefix order from the
-	// smallest vertex id, as the path did before the splitter.Warm wrapper
-	// existed (the pre-warm coloring is recoverable by setting this). The
-	// default (false) seeds each level's default oracle from the projected
-	// coarse cut (DESIGN.md §14): every level when Options.Splitter is
-	// nil, the coarse levels only when it is set — a supplied oracle is
-	// always used as-is on the input graph.
-	ColdOracles bool
 }
 
 // resolve applies the documented defaults for a K-part run.
@@ -103,7 +94,6 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	if c.opt.Multilevel == nil {
 		return nil, fmt.Errorf("core: MultilevelStage requires Options.Multilevel")
 	}
-	ml := c.opt.Multilevel.resolve(c.opt.K)
 
 	// Hierarchy construction gets its own instrumented window inside the
 	// driver's StageMultilevel bracket; the per-level solves below run as
@@ -112,7 +102,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	var hier *coarsen.Hierarchy
 	var err error
 	c.stageWindow(StageCoarsen, func() {
-		copt := ml.CoarsenOptions(c.g, c.opt.K)
+		copt := c.opt.Multilevel.CoarsenOptions(c.g, c.opt.K)
 		copt.Parallelism = c.par
 		hier, err = coarsen.Build(c.run, c.g, copt)
 	})
@@ -208,7 +198,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 			lopt.Splitter = nil
 		}
 		var warm *splitter.Warm
-		if lopt.Splitter == nil && !ml.ColdOracles {
+		if lopt.Splitter == nil {
 			lopt.Splitter, warm = warmRefined(fg, chi, c.par)
 		}
 		res, err = RefinePipeline(nil).withPi(pi).Run(c.run, fg, lopt, chi)

@@ -52,7 +52,7 @@ func OptionsKey(opt repro.Options) string {
 	key := fmt.Sprintf("k%d;p%g;bb%t;sh%t;ps%t;po%t",
 		opt.K, p, opt.SkipBoundaryBalance, opt.SkipShrink, opt.PaperShrink, opt.SkipPolish)
 	if m := opt.Multilevel; m != nil {
-		key += fmt.Sprintf(";ml%d,%d,%t", m.MinVertices, m.MaxLevels, m.ColdOracles)
+		key += fmt.Sprintf(";ml%d,%d", m.MinVertices, m.MaxLevels)
 	}
 	return key
 }

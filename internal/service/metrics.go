@@ -65,40 +65,13 @@ func (m *serverMetrics) observeRequest(endpoint string, took time.Duration) {
 		Observe(took.Seconds())
 }
 
-// observeDiag records a completed run's per-stage durations from its
-// Diagnostics. This is the batch path's feed: Engine.Batch drops the
-// observer (interleaved fan-out events cannot be attributed), so grouped
-// scheduler jobs report their stage timings through the per-run Diag
-// instead. Observer-covered runs must NOT pass through here — that would
-// double count. Diag aggregates per stage (a multilevel run's per-level
-// inner stages sum into one figure), so batch-fed entries are coarser
-// than observer-fed ones; both land in the same histograms.
-func (m *serverMetrics) observeDiag(res repro.Result) {
-	d := res.Diag
-	for _, sd := range []struct {
-		stage repro.StageName
-		took  time.Duration
-	}{
-		{repro.StageMultiBalance, d.MultiBalance},
-		{repro.StageAlmostStrict, d.AlmostStrict},
-		{repro.StageStrictPack, d.StrictPack},
-		{repro.StagePolish, d.Polish},
-		{repro.StageCoarsen, d.Coarsen},
-	} {
-		if sd.took > 0 {
-			m.stageHistogram(sd.stage).Observe(sd.took.Seconds())
-		}
-	}
-}
-
 // observeLevels records a completed multilevel run's per-level durations
 // and warm-oracle hits. Unlike the per-stage histograms, the per-level
 // profile exists only in Diagnostics (the Observer protocol carries no
-// level attribution), so this feed is called at the pipeline-run commit
-// points — the same places pipelineRuns increments — which see every
-// completed run exactly once on both the lone-job and grouped-batch
-// paths. Direct-path runs carry an empty profile and record nothing.
-// Level-label cardinality is bounded by Multilevel.MaxLevels (≤ 64).
+// level attribution), so Server.commitRun feeds it once per completed
+// pipeline run. Direct-path runs carry an empty profile and record
+// nothing. Level-label cardinality is bounded by Multilevel.MaxLevels
+// (≤ 64).
 func (m *serverMetrics) observeLevels(res repro.Result) {
 	for _, ld := range res.Diag.LevelProfile {
 		m.reg.Histogram(metricLevelDuration,

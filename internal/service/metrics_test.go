@@ -2,13 +2,17 @@ package service
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/workload"
@@ -183,6 +187,73 @@ func TestStageMetricsCoverTheStageNameSet(t *testing.T) {
 		if counts[name] < sw.Count {
 			t.Fatalf("stage %s: scrape count %d < stats count %d", name, counts[name], sw.Count)
 		}
+	}
+}
+
+// TestGroupedBatchReportsThroughObserver runs one scheduler group of
+// multilevel jobs through Engine.Batch and requires the Observer-fed
+// metrics to count it like any lone run: repro_oracle_calls_total equals
+// the responses' summed splitter_calls, every job records a multilevel
+// stage, and polish rounds are counted.
+func TestGroupedBatchReportsThroughObserver(t *testing.T) {
+	const group = 4
+	// MaxBatch equal to the group size closes the drain the moment the
+	// last job is admitted; the long window only bounds a lost request.
+	srv, ts := newTestServer(t, Config{MaxBatch: group, BatchWindow: time.Minute})
+	reqs := make([][]byte, group)
+	for i := range reqs {
+		up := uploadGraph(t, ts.URL, workload.ClimateMesh(24, 24, 3, int64(i+1)))
+		body, err := json.Marshal(PartitionRequest{
+			GraphID: up.GraphID, K: 4, Multilevel: &MultilevelWire{MinVertices: 64},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = body
+	}
+	resps := make([]PartitionResponse, group)
+	errs := make([]error, group)
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := http.Post(ts.URL+"/v1/partition", "application/json", bytes.NewReader(reqs[i]))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer r.Body.Close()
+			if r.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", r.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(r.Body).Decode(&resps[i])
+		}(i)
+	}
+	wg.Wait()
+	var want int64
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		want += resps[i].Diag.SplitterCalls
+	}
+	st := srv.Stats()
+	if st.BatchesDrained != 1 || st.JobsExecuted != group {
+		t.Fatalf("premise: %d batches for %d jobs, want one group of %d", st.BatchesDrained, st.JobsExecuted, group)
+	}
+	if want == 0 {
+		t.Fatal("premise: the group made no oracle calls")
+	}
+	if got := srv.metrics.oracleCalls.Value(); got != want {
+		t.Fatalf("repro_oracle_calls_total = %d, responses report %d splitter calls", got, want)
+	}
+	if got := st.Stages[string(repro.StageMultilevel)].Count; got != group {
+		t.Fatalf("multilevel stage recorded %d times, want %d", got, group)
+	}
+	if srv.metrics.polishRounds.Value() == 0 {
+		t.Fatal("repro_polish_rounds_total stayed 0")
 	}
 }
 

@@ -92,6 +92,12 @@ func TestPartitionMultilevelValidation(t *testing.T) {
 			t.Fatalf("config %+v answered %d, want 400", ml, code)
 		}
 	}
+	// cold_oracles is no longer part of the schema: strict decoding turns
+	// it into a 400 instead of a silently warm-started coloring.
+	retired := map[string]any{"graph_id": up.GraphID, "k": 4, "multilevel": map[string]any{"cold_oracles": true}}
+	if code := postJSON(t, ts.URL+"/v1/partition", retired, nil); code != http.StatusBadRequest {
+		t.Fatalf("cold_oracles answered %d, want 400", code)
+	}
 }
 
 // TestRepartitionMultilevelSession drives a drift chain under a multilevel

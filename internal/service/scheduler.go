@@ -61,13 +61,6 @@ type scheduler struct {
 	jobsExecuted int64
 	jobsDropped  int64 // jobs failed unexecuted because their ctx was done
 
-	// onResult, when set, receives each successful grouped-batch result.
-	// Engine.Batch drops the observer (fan-out events cannot be
-	// attributed), so this is how batch-path runs report their per-stage
-	// Diagnostics to the metrics layer. Lone jobs run under the engine
-	// observer and must not be reported here — that would double count.
-	onResult func(repro.Result)
-
 	// mu orders submit against close: a submit holding the read lock has
 	// either observed stopped (and rejected) or finished its enqueue before
 	// close can set stopped — so every admitted job is in the queue before
@@ -254,9 +247,6 @@ func (s *scheduler) run(batch []*job) {
 			switch {
 			case err == nil || (perInstance && be.Errs[i] == nil):
 				j.res = results[i]
-				if s.onResult != nil {
-					s.onResult(j.res)
-				}
 			case perInstance:
 				j.err = be.Errs[i]
 			default:

@@ -31,7 +31,7 @@ func TestSchedulerExecutesMixedOptionGroups(t *testing.T) {
 	type out struct{ j *job }
 	done := make(chan out, 4)
 	// Two distinct option identities in one admission wave: the drain must
-	// group them and run PartitionBatch once per group.
+	// group them and run Engine.Batch once per group.
 	for i, req := range []struct {
 		g   *graph.Graph
 		opt repro.Options

@@ -104,10 +104,10 @@ type Config struct {
 	// scheduling, only observability.
 	Clock func() time.Time
 	// Observer, when non-nil, receives pipeline progress callbacks (stage
-	// enter/leave, oracle calls, polish rounds) from every non-batched run
-	// the server executes — the hook the cancellation acceptance tests and
-	// metrics exporters attach to. Must be cheap and concurrency-safe; see
-	// repro.Observer.
+	// enter/leave, oracle calls, polish rounds) from every run the server
+	// executes, grouped batch jobs included — the hook the cancellation
+	// acceptance tests and metrics exporters attach to. Must be cheap and
+	// concurrency-safe; see repro.Observer.
 	Observer repro.Observer
 	// Store, when non-nil, is the durability subsystem (DESIGN.md §11):
 	// uploads, partition results and repartition deltas are appended to
@@ -237,9 +237,6 @@ func New(cfg Config) *Server {
 		// after a restart already sees the pre-restart state.
 		s.warmFromStore()
 	}
-	// Grouped scheduler jobs run through Engine.Batch, which drops the
-	// observer; their stage timings arrive via per-run Diagnostics instead.
-	s.sched.onResult = m.observeDiag
 	m.registerServerFuncs(s)
 	s.mux.HandleFunc("POST /v1/graphs", s.instrument("upload", s.handleUpload))
 	s.mux.HandleFunc("POST /v1/partition", s.instrument("partition", s.handlePartition))
@@ -467,7 +464,6 @@ func (s *Server) requestOptions(k int, p float64, ml *MultilevelWire) (repro.Opt
 		opt.Multilevel = &repro.Multilevel{
 			MinVertices: ml.MinVertices,
 			MaxLevels:   ml.MaxLevels,
-			ColdOracles: ml.ColdOracles,
 		}
 	}
 	return opt, nil
@@ -496,13 +492,22 @@ func (s *Server) partition(ctx context.Context, g *graph.Graph, id string, opt r
 			// A cancelled run never reaches the cache (invariant 5).
 			return repro.Result{}, j.err
 		}
-		atomic.AddInt64(&s.pipelineRuns, 1)
-		s.metrics.observeLevels(j.res)
-		s.cache.put(key, j.res)
+		s.commitRun(key, j.res)
 		s.persistResult(id, opt, j.res)
 		return j.res, nil
 	})
 	return res, false, coalesced, err
+}
+
+// commitRun counts a completed pipeline run, records its per-level
+// metrics and caches it under key: the one commit point of the partition,
+// weight-repartition and topology-repartition paths, so each run is
+// counted exactly once. Cancelled or failed runs never reach it
+// (invariant 5).
+func (s *Server) commitRun(key string, res repro.Result) {
+	atomic.AddInt64(&s.pipelineRuns, 1)
+	s.metrics.observeLevels(res)
+	s.cache.put(key, res)
 }
 
 // maxJSONBody bounds JSON request bodies: an inline graph roughly doubles
@@ -557,23 +562,37 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // *named base instance*, so request meaning never depends on what the
 // session has absorbed since). The base graph is never touched.
 func deltaWeights(base *graph.Graph, req *RepartitionRequest) ([]float64, error) {
-	w, err := weightDelta(req).Materialize(base)
+	w, err := requestDelta(req).Materialize(base)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	return w, nil
 }
 
-// weightDelta converts the weight forms of a repartition request to the
-// repro.Delta they denote — also the client-relative delta the durable
-// log records (O(|delta|), never a graph re-marshal).
-func weightDelta(req *RepartitionRequest) repro.Delta {
+// requestDelta converts a repartition request to the repro.Delta it
+// denotes — the single definition of delta semantics (canonical
+// composition order, stable addressing) the session API runs, and the
+// client-relative delta the durable log records (O(|delta|), never a
+// graph re-marshal). A request whose topology block mutates nothing
+// yields a weight-only delta.
+func requestDelta(req *RepartitionRequest) repro.Delta {
 	d := repro.Delta{Weights: req.Weights}
 	for _, u := range req.Set {
 		d.Set = append(d.Set, repro.WeightChange{V: u.V, W: u.W})
 	}
 	for _, u := range req.Scale {
 		d.Scale = append(d.Scale, repro.WeightChange{V: u.V, W: u.W})
+	}
+	t := req.Topology
+	if t == nil || topoEmpty(t) {
+		return d
+	}
+	d.AddVertices, d.RemoveVertices = t.AddVertices, t.RemoveVertices
+	for _, e := range t.AddEdges {
+		d.AddEdges = append(d.AddEdges, repro.EdgeChange{U: e.U, V: e.V, Cost: e.Cost})
+	}
+	for _, e := range t.RemoveEdges {
+		d.RemoveEdges = append(d.RemoveEdges, repro.EdgeChange{U: e.U, V: e.V})
 	}
 	return d
 }
@@ -720,16 +739,14 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 				// no cache entry is written (invariant 5).
 				return repro.Result{}, err
 			}
-			atomic.AddInt64(&s.pipelineRuns, 1)
-			s.metrics.observeLevels(out)
-			s.cache.put(key, out)
+			s.commitRun(key, out)
 			var runMig repro.Migration
 			if runPrior != nil && len(runPrior) == next.N() {
 				runMig = repro.MigrationOf(next, runPrior, out.Coloring)
 			}
 			// Leader-only (inside the flight), so coalesced followers and
 			// cached repeats never double-log.
-			s.persistRepart(req.GraphID, opt, weightDelta(&req), nextID, next,
+			s.persistRepart(req.GraphID, opt, requestDelta(&req), nextID, next,
 				s.digestOf(req.GraphID, base), out, runMig)
 			return out, nil
 		})
@@ -779,31 +796,6 @@ func topoEmpty(t *TopologyWire) bool {
 		len(t.AddEdges) == 0 && len(t.RemoveEdges) == 0
 }
 
-// topologyDelta converts a topology-carrying repartition request to the
-// repro.Delta it denotes — the same single definition of delta semantics
-// (canonical composition order, stable addressing) the session API runs.
-func topologyDelta(req *RepartitionRequest) repro.Delta {
-	t := req.Topology
-	d := repro.Delta{
-		Weights:        req.Weights,
-		AddVertices:    t.AddVertices,
-		RemoveVertices: t.RemoveVertices,
-	}
-	for _, u := range req.Set {
-		d.Set = append(d.Set, repro.WeightChange{V: u.V, W: u.W})
-	}
-	for _, u := range req.Scale {
-		d.Scale = append(d.Scale, repro.WeightChange{V: u.V, W: u.W})
-	}
-	for _, e := range t.AddEdges {
-		d.AddEdges = append(d.AddEdges, repro.EdgeChange{U: e.U, V: e.V, Cost: e.Cost})
-	}
-	for _, e := range t.RemoveEdges {
-		d.RemoveEdges = append(d.RemoveEdges, repro.EdgeChange{U: e.U, V: e.V})
-	}
-	return d
-}
-
 // handleTopologyRepartition serves the topology-mutating half of POST
 // /v1/repartition. It differs from the weight path in three load-bearing
 // ways. First, the derived id comes from patching the base instance's
@@ -824,7 +816,7 @@ func (s *Server) handleTopologyRepartition(w http.ResponseWriter, ctx context.Co
 			fmt.Sprintf("unknown graph_id %q (uploads are LRU-evicted; re-upload)", req.GraphID)})
 		return
 	}
-	d := topologyDelta(req)
+	d := requestDelta(req)
 	ap, err := d.Apply(base)
 	if err != nil {
 		writeError(w, badRequest("%v", err))
@@ -873,9 +865,7 @@ func (s *Server) handleTopologyRepartition(w http.ResponseWriter, ctx context.Co
 				// the base session was never involved.
 				return repro.Result{}, err
 			}
-			atomic.AddInt64(&s.pipelineRuns, 1)
-			s.metrics.observeLevels(out)
-			s.cache.put(key, out)
+			s.commitRun(key, out)
 			// The mutated session continues the chain under the derived id.
 			s.sessions.put(requestKey(nextID, opt), inst)
 			var runMig repro.Migration

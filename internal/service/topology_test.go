@@ -10,8 +10,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
+	"repro"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -268,6 +270,17 @@ func TestTopologyRepartitionEmptyBlockIsWeightPath(t *testing.T) {
 	}
 	if resp.GraphID != up.GraphID {
 		t.Fatalf("null delta derived %s, want the base id %s", resp.GraphID, up.GraphID)
+	}
+	// Such a request logs the weight-only delta, with no empty topology
+	// arrays.
+	var req RepartitionRequest
+	body := `{"scale":[{"v":1,"w":2}],"topology":{"add_vertices":[],"remove_edges":[]}}`
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	want := repro.Delta{Scale: []repro.WeightChange{{V: 1, W: 2}}}
+	if got := requestDelta(&req); !reflect.DeepEqual(got, want) {
+		t.Fatalf("empty topology block gave delta %+v, want %+v", got, want)
 	}
 }
 

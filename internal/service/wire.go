@@ -54,12 +54,6 @@ type PartitionRequest struct {
 type MultilevelWire struct {
 	MinVertices int `json:"min_vertices,omitempty"`
 	MaxLevels   int `json:"max_levels,omitempty"`
-	// ColdOracles disables the cross-level warm-start oracle (DESIGN.md
-	// §14), restoring the pre-warm per-level coloring. Part of result
-	// identity, so it participates in OptionsKey. Schema note: additive
-	// field — absent means false, the historical behavior of clients that
-	// predate it is unchanged.
-	ColdOracles bool `json:"cold_oracles,omitempty"`
 }
 
 // PartitionResponse answers POST /v1/partition.

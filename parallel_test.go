@@ -76,34 +76,31 @@ func TestMultilevelParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMultilevelColdOraclesKnob pins the ColdOracles contract: the knob
-// changes the per-level oracle seeding (so it is part of result identity
-// and of OptionsKey), both settings keep the full guarantee surface, and
-// the knob is deterministic in itself.
-func TestMultilevelColdOraclesKnob(t *testing.T) {
+// TestMultilevelWarmOracles pins the cross-level warm-start oracle
+// (DESIGN.md §14): the multilevel path stays deterministic and keeps the
+// full guarantee surface with it, and its per-level oracle calls are
+// actually served from the warm frontier order.
+func TestMultilevelWarmOracles(t *testing.T) {
 	mesh := workload.ClimateMesh(40, 40, 4, 9)
 	eng := NewEngine()
-	run := func(cold bool) Result {
+	run := func() Result {
 		t.Helper()
 		res, err := eng.PartitionWithOptions(context.Background(), mesh, Options{
 			K: 8, Parallelism: 1,
-			Multilevel: &Multilevel{MinVertices: 64, ColdOracles: cold},
+			Multilevel: &Multilevel{MinVertices: 64},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v := Verify(mesh, Options{K: 8}, res, 20); !v.OK() {
-			t.Fatalf("cold=%v failed verification: %v", cold, v.Errors)
+			t.Fatalf("warm path failed verification: %v", v.Errors)
 		}
 		return res
 	}
-	warm1, warm2, cold1, cold2 := run(false), run(false), run(true), run(true)
+	warm1, warm2 := run(), run()
 	for v := range warm1.Coloring {
 		if warm1.Coloring[v] != warm2.Coloring[v] {
 			t.Fatalf("warm path nondeterministic at %d", v)
-		}
-		if cold1.Coloring[v] != cold2.Coloring[v] {
-			t.Fatalf("cold path nondeterministic at %d", v)
 		}
 	}
 	if len(warm1.Diag.LevelProfile) == 0 {
@@ -115,11 +112,6 @@ func TestMultilevelColdOraclesKnob(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("warm path reported zero warm-oracle hits on a coarsening mesh")
-	}
-	for _, ld := range cold1.Diag.LevelProfile {
-		if ld.WarmHits != 0 {
-			t.Fatalf("cold path reported %d warm hits at level %d", ld.WarmHits, ld.Level)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ package repro
 // loadgen certifier and the /v1/repartition endpoint rely on.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,6 +50,7 @@ func randomDrift(rng *rand.Rand, g *graph.Graph) {
 // from-scratch run on the same weights. Seeds are fixed (not
 // quick.Check's time-seeded stream) so a failure reproduces.
 func TestRepartitionDriftStaysWithinPolishTolerance(t *testing.T) {
+	eng, ctx := NewEngine(), context.Background()
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 6+rng.Intn(6), 6+rng.Intn(6)
@@ -56,7 +58,7 @@ func TestRepartitionDriftStaysWithinPolishTolerance(t *testing.T) {
 		k := 2 + rng.Intn(6)
 		opt := Options{K: k}
 
-		res, err := Partition(g, k)
+		res, err := eng.Partition(ctx, g, k)
 		if err != nil {
 			t.Logf("seed %d: initial partition: %v", seed, err)
 			return false
@@ -65,7 +67,7 @@ func TestRepartitionDriftStaysWithinPolishTolerance(t *testing.T) {
 		steps := 2 + rng.Intn(3)
 		for s := 0; s < steps; s++ {
 			randomDrift(rng, g)
-			inc, err := Repartition(g, opt, prior)
+			inc, err := eng.Repartition(ctx, g, opt, prior)
 			if err != nil {
 				t.Logf("seed %d step %d: %v", seed, s, err)
 				return false
@@ -79,7 +81,7 @@ func TestRepartitionDriftStaysWithinPolishTolerance(t *testing.T) {
 					seed, s, inc.Stats.MaxWeightDeviation, inc.Stats.StrictBound)
 				return false
 			}
-			scratch, err := PartitionWithOptions(g, opt)
+			scratch, err := eng.PartitionWithOptions(ctx, g, opt)
 			if err != nil {
 				t.Logf("seed %d step %d: scratch: %v", seed, s, err)
 				return false
@@ -105,10 +107,11 @@ func TestRepartitionDriftStaysWithinPolishTolerance(t *testing.T) {
 // be absorbed with zero oracle calls (the skip-to-polish fast path) and
 // migration bounded by what polish may move.
 func TestRepartitionNullDriftIsOracleFree(t *testing.T) {
+	eng, ctx := NewEngine(), context.Background()
 	for seed := int64(0); seed < 6; seed++ {
 		g := workload.ClimateMesh(8, 8, 2, seed)
 		k := 4
-		res, err := Partition(g, k)
+		res, err := eng.Partition(ctx, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +120,7 @@ func TestRepartitionNullDriftIsOracleFree(t *testing.T) {
 		for v := range g.Weight {
 			g.Weight[v] *= 3
 		}
-		inc, err := Repartition(g, Options{K: k}, res.Coloring)
+		inc, err := eng.Repartition(ctx, g, Options{K: k}, res.Coloring)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +137,12 @@ func TestRepartitionNullDriftIsOracleFree(t *testing.T) {
 // Property: migration volume tracks drift size — a sparse drift must not
 // repaint the world. (MigrationOf is measured on the drifted weights.)
 func TestRepartitionMigrationTracksDrift(t *testing.T) {
+	eng, ctx := NewEngine(), context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := workload.ClimateMesh(10, 10, 2, seed)
 		k := 5
-		res, err := Partition(g, k)
+		res, err := eng.Partition(ctx, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +150,7 @@ func TestRepartitionMigrationTracksDrift(t *testing.T) {
 		for i := 0; i < g.N()/20; i++ {
 			g.Weight[rng.Intn(g.N())] *= 1.5
 		}
-		inc, err := Repartition(g, Options{K: k}, res.Coloring)
+		inc, err := eng.Repartition(ctx, g, Options{K: k}, res.Coloring)
 		if err != nil {
 			t.Fatal(err)
 		}

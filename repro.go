@@ -28,22 +28,16 @@
 //
 //	res, err := eng.Partition(ctx, g, 16)                       // BFS+FM oracle
 //
-// The stateless free functions (Partition, PartitionWithOptions,
-// PartitionGrid, PartitionBatch, Repartition) survive as deprecated
-// wrappers over a package-default Engine with context.Background(); new
-// code should construct an Engine. The full pipeline and every substrate
-// live under internal/: see DESIGN.md for the system inventory (§8 for
-// the Engine/Instance API) and EXPERIMENTS.md for the reproduction of the
-// paper's bounds.
+// The full pipeline and every substrate live under internal/: see
+// DESIGN.md for the system inventory (§8 for the Engine/Instance API) and
+// EXPERIMENTS.md for the reproduction of the paper's bounds.
 package repro
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/grid"
 )
 
 // Options re-exports the pipeline configuration.
@@ -55,10 +49,6 @@ type Result = core.Result
 // Verification re-exports the audit report of a Result.
 type Verification = core.Verification
 
-// defaultEngine backs the deprecated free functions: a zero-policy Engine,
-// so every wrapper behaves exactly as the pre-Engine API did.
-var defaultEngine = NewEngine()
-
 // Verify audits a Result against the graph and options it was produced
 // under: completeness, Definition 1 strict balance, boundary consistency
 // of the reported stats, and the advisory Theorem 4 bound with the given
@@ -67,63 +57,6 @@ var defaultEngine = NewEngine()
 // its guarantees from the coloring.
 func Verify(g *graph.Graph, opt Options, res Result, factor float64) Verification {
 	return core.Verify(g, opt, res, factor)
-}
-
-// Partition computes a strictly balanced k-coloring of g with small
-// maximum boundary cost, using the default FM-refined BFS splitting oracle
-// (suitable for bounded-degree mesh-like graphs).
-//
-// Deprecated: use Engine.Partition, which takes a context.Context and
-// carries deployment policy. This wrapper delegates to a package-default
-// Engine with context.Background(), so it can never be cancelled.
-func Partition(g *graph.Graph, k int) (Result, error) {
-	return defaultEngine.Partition(context.Background(), g, k)
-}
-
-// PartitionWithOptions runs the pipeline with explicit options.
-//
-// Deprecated: use Engine.PartitionWithOptions (cancellable, policy-aware).
-func PartitionWithOptions(g *graph.Graph, opt Options) (Result, error) {
-	return defaultEngine.PartitionWithOptions(context.Background(), g, opt)
-}
-
-// PartitionGrid partitions a d-dimensional grid graph using the paper's
-// exact GridSplit splitting oracle (Section 6, Theorem 19) with the
-// canonical exponent p = d/(d−1).
-//
-// Deprecated: use Engine.PartitionGrid, or Engine.NewGridInstance for
-// repeated queries on one grid.
-func PartitionGrid(gr *grid.Grid, k int) (Result, error) {
-	return defaultEngine.PartitionGrid(context.Background(), gr, k)
-}
-
-// PartitionBatch decomposes a slice of independent instances across a
-// worker pool; see Engine.Batch for the semantics (results indexed like
-// gs, per-instance failures aggregated in *BatchError).
-//
-// Deprecated: use Engine.Batch, which additionally honors cancellation
-// (stops launching instances once ctx is done and reports the cancelled
-// entries as ctx.Err() inside the *BatchError).
-func PartitionBatch(gs []*graph.Graph, opt Options) ([]Result, error) {
-	return defaultEngine.Batch(context.Background(), gs, opt)
-}
-
-// Repartition resumes the pipeline from a prior coloring of a (possibly
-// reweighted) graph — the incremental serving path. When vertex weights
-// drift between queries (the paper's climate motivation: per-region cost
-// changes "tremendously depending on day-time"), re-running only the
-// rebalance → bin-pack → polish stages from the previous coloring is much
-// cheaper than a fresh Decompose, skips the splitting-oracle recursion
-// entirely when the prior coloring is still strictly balanced, and keeps
-// vertices in their prior class wherever the balance window allows — so
-// the migration volume (see MigrationOf) tracks the size of the drift.
-// The result carries the same strict-balance guarantee as Partition.
-//
-// Deprecated: use Instance.Repartition, which reuses the session's
-// content-hash topology digest across the drift chain, or
-// Engine.Repartition for a one-shot cancellable resume.
-func Repartition(g *graph.Graph, opt Options, prior []int32) (Result, error) {
-	return defaultEngine.Repartition(context.Background(), g, opt, prior)
 }
 
 // BatchError aggregates the per-instance failures of a Batch run.

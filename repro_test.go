@@ -1,12 +1,10 @@
 package repro
 
-// These tests deliberately exercise the deprecated free-function wrappers
-// (Partition, PartitionWithOptions, PartitionGrid): they pin that each
-// wrapper still delegates to the package-default Engine with unchanged
-// behavior. Engine/Instance behavior proper is covered by cancel_test.go
-// and the layers above; new tests should use the Engine API.
+// End-to-end checks of the one-shot Engine entry points (Partition,
+// PartitionWithOptions, PartitionGrid) under the zero policy.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,7 +14,7 @@ import (
 
 func TestPartitionGridEndToEnd(t *testing.T) {
 	gr := grid.MustBox(16, 16)
-	res, err := PartitionGrid(gr, 8)
+	res, err := NewEngine().PartitionGrid(context.Background(), gr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +31,7 @@ func TestPartitionGridEndToEnd(t *testing.T) {
 
 func TestPartitionGrid1D(t *testing.T) {
 	gr := grid.MustBox(64)
-	res, err := PartitionGrid(gr, 4)
+	res, err := NewEngine().PartitionGrid(context.Background(), gr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestPartitionGrid1D(t *testing.T) {
 
 func TestPartitionMesh(t *testing.T) {
 	mesh := workload.ClimateMesh(16, 16, 2, 3)
-	res, err := Partition(mesh, 6)
+	res, err := NewEngine().Partition(context.Background(), mesh, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +58,15 @@ func TestPartitionMesh(t *testing.T) {
 
 func TestPartitionWithOptionsAblation(t *testing.T) {
 	mesh := workload.ClimateMesh(12, 12, 2, 4)
-	res, err := PartitionWithOptions(mesh, Options{K: 4, SkipPolish: true})
+	eng := NewEngine()
+	res, err := eng.PartitionWithOptions(context.Background(), mesh, Options{K: 4, SkipPolish: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.StrictlyBalanced {
 		t.Fatal("ablated partition not strict")
 	}
-	if _, err := PartitionWithOptions(mesh, Options{K: 0}); err == nil {
+	if _, err := eng.PartitionWithOptions(context.Background(), mesh, Options{K: 0}); err == nil {
 		t.Fatal("expected K error")
 	}
 }
