@@ -24,10 +24,7 @@ type Observer = core.Observer
 type NopObserver = core.NopObserver
 
 // StageName re-exports the pipeline stage identifier used by Observer
-// events. (The underlying core package also exposes the composable Stage
-// interface and Pipeline driver these names instrument; the facade keeps
-// policy-level knobs only — assemble custom pipelines against
-// internal/core directly.)
+// events and Diagnostics durations.
 type StageName = core.StageName
 
 // The pipeline stages, in the order a full direct Partition visits them; a

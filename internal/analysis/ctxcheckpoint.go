@@ -48,7 +48,6 @@ var checkpointNames = map[string]bool{
 	"interrupted": true,
 	"split":       true,
 	"parRange":    true,
-	"checkpoint":  true,
 	"Err":         true,
 }
 

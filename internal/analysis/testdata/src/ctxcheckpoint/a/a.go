@@ -37,6 +37,17 @@ func goodErrPoll(ctx context.Context, items []int) {
 	}
 }
 
+// checkpoint polls nothing: a callee is trusted as a checkpoint by what
+// it is, never by its name alone.
+func checkpoint() {}
+
+func badNamedCheckpoint(ctx context.Context, items []int) {
+	for range items { // want `without a cancellation checkpoint`
+		checkpoint()
+		longWork(ctx)
+	}
+}
+
 func goodInterrupted(ctx context.Context, items []int) {
 	for range items {
 		if interrupted() {

@@ -114,10 +114,9 @@ type Result struct {
 // stretch between checkpoints is one splitting-oracle call on the current
 // subproblem.
 //
-// Decompose is an assembly over the stage pipeline: DecomposePipeline
-// selects the direct or multilevel stage sequence from opt and Pipeline.Run
-// drives it. Callers composing their own sequences use those pieces
-// directly.
+// Decompose runs the decompose sequence (the direct stages, or the
+// multilevel path when opt.Multilevel is set) under the run driver, which
+// Refine shares.
 func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {
 	if opt.Multilevel != nil && len(opt.Measures) > 0 {
 		// The coarse levels balance weight and π only; silently dropping a
@@ -125,7 +124,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 		// property the caller asked for.
 		return Result{}, fmt.Errorf("core: Multilevel does not support Measures (coarse levels balance weight only); use the direct path")
 	}
-	return DecomposePipeline(opt).Run(ctx, g, opt, nil)
+	return drive(ctx, g, opt, nil, nil, nil)
 }
 
 // Refine resumes the pipeline on an existing complete coloring of g — the
@@ -160,10 +159,9 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 // ctx.Err() and the caller's prior coloring is never adopted or mutated
 // (Refine works on a private copy from the start).
 //
-// Refine is an assembly over the stage pipeline: RefinePipeline guards the
-// rebalancing stages behind the strictness check and Pipeline.Run drives
-// the sequence. Options.Multilevel is ignored here — the prior coloring
-// already plays the role the multilevel path's projection would.
+// Refine runs the refine sequence under the run driver that Decompose
+// shares. Options.Multilevel is ignored here — the prior coloring already
+// plays the role the multilevel path's projection would.
 func Refine(ctx context.Context, g *graph.Graph, opt Options, prior, dirty []int32) (Result, error) {
 	if opt.K < 1 {
 		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
@@ -185,22 +183,21 @@ func Refine(ctx context.Context, g *graph.Graph, opt Options, prior, dirty []int
 			return Result{}, fmt.Errorf("core: dirty vertex %d out of range [0, %d)", v, g.N())
 		}
 	}
-	return RefinePipeline(dirty).Run(ctx, g, opt, prior)
+	return drive(ctx, g, opt, nil, prior, dirty)
 }
 
-// newCtx validates options and builds the shared pipeline context. A nil
-// run context is tolerated (treated as context.Background()) so internal
-// callers and tests need no ceremony.
-func newCtx(run context.Context, g *graph.Graph, opt Options) (*ctx, error) {
-	return newCtxPi(run, g, opt, nil)
-}
-
-// newCtxPi is newCtx with a precomputed splitting-cost measure π for g
-// (nil computes it here). The multilevel driver overlaps the next level's
-// π sweep with the current level's refine and passes the result down; the
-// values are bit-identical to an in-context computation at any
-// parallelism, so the overlap never changes a coloring.
-func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*ctx, error) {
+// newCtx validates K and P and builds the shared run context. A nil run
+// context is tolerated (treated as context.Background()) so internal
+// callers and tests need no ceremony. pi, when non-nil, is g's
+// splitting-cost measure π computed ahead of the run (nil computes it
+// here): the multilevel path reuses the input graph's π and overlaps the
+// next level's π sweep with the current level's refine. The values are
+// bit-identical to an in-context computation at any parallelism, so
+// neither ever changes a coloring.
+func newCtx(run context.Context, g *graph.Graph, opt Options, pi []float64) (*ctx, error) {
+	if opt.K < 1 {
+		return nil, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
+	}
 	p := opt.P
 	if p == 0 {
 		p = 2
@@ -235,9 +232,7 @@ func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*
 	if pi == nil {
 		// The π sweep is the pow-heavy prelude of every run; fan it across
 		// the pool (bit-identical at any parallelism — each π(v) is an
-		// independent per-vertex sum). The multilevel driver prefetches the
-		// next level's π while the current level refines and hands it in
-		// here via Pipeline.withPi.
+		// independent per-vertex sum).
 		pi = measure.SplittingCostPar(g, p, 1, par)
 	}
 	c := &ctx{
@@ -267,50 +262,4 @@ func TheoremBound(g *graph.Graph, k int, p float64) float64 {
 		return 2 * g.MaxCost()
 	}
 	return g.CostNorm(p)/math.Pow(float64(k), 1/p) + g.MaxCost()
-}
-
-// AlmostStrict exposes the Proposition 11 stage on an existing coloring.
-func AlmostStrict(ctx context.Context, g *graph.Graph, opt Options, chi []int32) ([]int32, error) {
-	if len(chi) != g.N() {
-		return nil, fmt.Errorf("core: coloring length %d != N %d", len(chi), g.N())
-	}
-	if err := graph.CheckColoring(chi, opt.K); err != nil {
-		return nil, err
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := c.almostStrict(chi, opt.K, opt.PaperShrink)
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StrictBalance exposes the Proposition 12 stage (BinPack2) on an existing
-// coloring; the result is strictly balanced per Definition 1 (with the
-// chunked-greedy backstop applied if needed).
-func StrictBalance(ctx context.Context, g *graph.Graph, opt Options, chi []int32) ([]int32, error) {
-	if len(chi) != g.N() {
-		return nil, fmt.Errorf("core: coloring length %d != N %d", len(chi), g.N())
-	}
-	if err := graph.CheckColoring(chi, opt.K); err != nil {
-		return nil, err
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := c.binPack2(chi, opt.K)
-	if !graph.IsStrictlyBalanced(g, out, opt.K) {
-		out = c.chunkedGreedy(out, opt.K)
-	}
-	// Like Decompose/Refine, a cancellation wins over the (possibly
-	// half-chunked) coloring — without this, chunkedGreedy's cancel path
-	// could leak -1 entries behind a nil error.
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -525,6 +525,16 @@ func TestDecomposeErrors(t *testing.T) {
 	if _, err := Decompose(context.Background(), g, Options{K: 2, P: 0.5}); err == nil {
 		t.Fatal("expected error for P ≤ 1")
 	}
+	// The empty graph must not skip option validation.
+	empty := graph.NewBuilder(0).MustBuild()
+	for _, p := range []float64{0.5, math.NaN()} {
+		if _, err := Decompose(context.Background(), empty, Options{K: 2, P: p}); err == nil {
+			t.Fatalf("Decompose on the empty graph accepted P = %v", p)
+		}
+		if _, err := Refine(context.Background(), empty, Options{K: 2, P: p}, []int32{}, nil); err == nil {
+			t.Fatalf("Refine on the empty graph accepted P = %v", p)
+		}
+	}
 }
 
 func TestDecomposeEmptyGraph(t *testing.T) {
@@ -590,7 +600,7 @@ func TestDecomposeKBiggerThanN(t *testing.T) {
 func TestStageWrappers(t *testing.T) {
 	gr, g := gridGraph(t, 10, 10)
 	opt := Options{K: 4, Splitter: splitter.NewGrid(gr)}
-	c, err := newCtx(context.Background(), g, opt)
+	c, err := newCtx(context.Background(), g, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,26 +609,13 @@ func TestStageWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	chi2 := c.minMaxBalanced(4, [][]float64{g.Weight})
-	chi3, err := AlmostStrict(context.Background(), g, opt, chi2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chi3 := c.almostStrict(chi2, 4, false)
 	if !graph.IsAlmostStrictlyBalanced(g, chi3, 4) {
-		t.Fatal("AlmostStrict wrapper failed")
+		t.Fatal("Proposition 11 stage failed")
 	}
-	chi4, err := StrictBalance(context.Background(), g, opt, chi3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chi4 := c.binPack2(chi3, 4)
 	if !graph.IsStrictlyBalanced(g, chi4, 4) {
-		t.Fatal("StrictBalance wrapper failed")
-	}
-	// Error paths.
-	if _, err := StrictBalance(context.Background(), g, Options{K: 0}, chi4); err == nil {
-		t.Fatal("expected K error")
-	}
-	if _, err := AlmostStrict(context.Background(), g, Options{K: 4}, make([]int32, g.N()+5)); err == nil {
-		t.Fatal("expected coloring length error")
+		t.Fatal("Proposition 12 stage failed")
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 // parallel stages draw from and the run's cancellation context.
 //
 // Concurrency contract: every field is written only before the first pool
-// worker is spawned (newCtx, plus Decompose's countingSplitter wrap of sp)
-// and read-only afterwards (sem carries tokens, never data), so ctx methods
-// may run from multiple pool workers at once as long as each worker only
-// writes state it owns. The splitting oracle sp must be safe for concurrent use
-// (see splitter.Splitter); all in-tree implementations are stateless.
+// worker is spawned (newCtx, plus the driver's diag and countingSplitter
+// wrap of sp) and read-only afterwards (sem carries tokens, never data),
+// so ctx methods may run from multiple pool workers at once as long as
+// each worker only writes state it owns. The splitting oracle sp must be
+// safe for concurrent use (see splitter.Splitter); all in-tree
+// implementations are stateless.
 //
 // Cancellation contract: stages poll interrupted() at their checkpoints
 // (every oracle call, every pool-work item, every rebalance move, every
@@ -42,8 +43,9 @@ type ctx struct {
 	done <-chan struct{} // run.Done(), cached; nil for un-cancellable runs
 	obs  Observer        // progress hooks; nil when unobserved
 
-	// diag collects the run's Diagnostics; set by Pipeline.Run (nil for
-	// the standalone stage entry points, which report no diagnostics).
+	// diag collects the run's Diagnostics. The driver sets it before any
+	// stage runs; only ctxs that stage-level tests build outside it lack it,
+	// and those never open a stage window.
 	diag *Diagnostics
 }
 

@@ -96,14 +96,14 @@ func (d *Diagnostics) record(name StageName, took time.Duration) {
 	}
 }
 
-// absorb folds an inner pipeline run's diagnostics into d — the multilevel
-// driver's accounting for the per-level Decompose/Refine runs. Parallelism,
+// absorb folds an inner run's diagnostics into d — the multilevel path's
+// accounting for its per-level decompose and refine runs. Parallelism,
 // Levels and Total stay the outer run's own.
 func (d *Diagnostics) absorb(inner Diagnostics) {
-	// Happens-before audit: absorb runs on the multilevel driver goroutine
-	// strictly after the inner Decompose/Refine returns, i.e. after its
-	// worker pool has joined — no countingSplitter increment can be
-	// concurrent with this read-modify-write.
+	// Happens-before audit: absorb runs on the multilevel stage's goroutine
+	// strictly after the inner run returns, i.e. after its worker pool has
+	// joined — no countingSplitter increment can be concurrent with this
+	// read-modify-write.
 	//repro:atomic-ok absorb runs after the inner run's workers join; no concurrent increments — DESIGN.md §5
 	d.SplitterCalls += inner.SplitterCalls
 	d.MultiBalance += inner.MultiBalance

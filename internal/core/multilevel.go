@@ -1,14 +1,13 @@
 package core
 
-// This file is the multilevel (coarsen → solve → project → refine)
-// decomposition path: a single pipeline stage that builds a heavy-edge
-// coarsening hierarchy, solves the coarsest level with the direct stage
-// sequence, and projects the coloring down the hierarchy, resuming the
-// refine pipeline at every level.
+// This file is the multilevel (coarsen → solve → project → refine) path: a
+// stage that builds a heavy-edge coarsening hierarchy, runs the decompose
+// sequence on the coarsest level, and projects the coloring down the
+// hierarchy, running the refine sequence at every level.
 //
 // Invariants (DESIGN.md §9): the final coloring carries the identical
 // Definition 1 strict-balance guarantee as the direct path — projection
-// preserves class weights exactly, and each level's Refine re-certifies
+// preserves class weights exactly, and each level's refine re-certifies
 // the window against that level's own ‖w‖∞ before polish runs. The
 // boundary cost pays a small constant factor for solving on the proxy
 // (heavy edges are hidden inside coarse vertices, so the surviving cut
@@ -18,8 +17,6 @@ package core
 // no partial Result.
 
 import (
-	"fmt"
-
 	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/measure"
@@ -80,25 +77,14 @@ func warmRefined(g *graph.Graph, prior []int32, par int) (splitter.Splitter, *sp
 	return rf, warm
 }
 
-// multilevelStage is the driver; see the file comment.
-type multilevelStage struct{}
-
-// MultilevelStage returns the multilevel driver stage. It must be the
-// producing head of its pipeline (DecomposePipeline assembles it when
-// Options.Multilevel is set) and requires Options.Multilevel non-nil.
-func MultilevelStage() Stage { return multilevelStage{} }
-
-func (multilevelStage) Name() StageName { return StageMultilevel }
-
-func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
-	if c.opt.Multilevel == nil {
-		return nil, fmt.Errorf("core: MultilevelStage requires Options.Multilevel")
-	}
-
+// multilevel is the body of the StageMultilevel stage; see the file
+// comment. The decompose sequence runs it only when Options.Multilevel is
+// set.
+func (c *ctx) multilevel() ([]int32, error) {
 	// Hierarchy construction gets its own instrumented window inside the
-	// driver's StageMultilevel bracket; the per-level solves below run as
-	// inner pipelines with their own stage events and diagnostics,
-	// absorbed into this run's.
+	// StageMultilevel bracket; the per-level solves below are inner runs of
+	// the driver with their own stage events and diagnostics, absorbed into
+	// this run's.
 	var hier *coarsen.Hierarchy
 	var err error
 	c.stageWindow(StageCoarsen, func() {
@@ -109,9 +95,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.diag != nil {
-		c.diag.Levels = len(hier.Levels)
-	}
+	c.diag.Levels = len(hier.Levels)
 	fineAt := func(i int) *graph.Graph {
 		if i == 0 {
 			return hier.Fine
@@ -124,8 +108,8 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	// construction) computes concurrently. π depends only on the static
 	// level graph — never on the evolving coloring — and is bit-identical
 	// wherever it is computed, so the overlap changes wall time only. The
-	// deferred drain keeps the pipeline contract that no goroutine outlives
-	// the entry point's return, on every path including error unwinds.
+	// deferred drain keeps the contract that no goroutine outlives the
+	// entry point's return, on every path including error unwinds.
 	var piCh chan []float64
 	prefetch := func(g *graph.Graph) chan []float64 {
 		ch := make(chan []float64, 1)
@@ -148,32 +132,32 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	inner := c.opt
 	inner.Multilevel = nil
 
-	copt := inner
+	// At or below the coarsening floor no level is built: the coarsest
+	// graph is the input graph, whose π this run already holds.
+	copt, cpi := inner, c.pi
 	cg := hier.Coarsest()
 	if cg != c.g {
-		copt.Splitter = nil
+		copt.Splitter, cpi = nil, nil
 	}
 	if c.par > 1 && len(hier.Levels) > 0 && fineAt(len(hier.Levels)-1) != c.g {
 		piCh = prefetch(fineAt(len(hier.Levels) - 1))
 	}
-	res, err := Decompose(c.run, cg, copt)
+	res, err := drive(c.run, cg, copt, cpi, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if c.diag != nil {
-		c.diag.absorb(res.Diag)
-		c.diag.LevelProfile = append(c.diag.LevelProfile, LevelDiag{
-			Level: len(hier.Levels), Vertices: cg.N(), Edges: cg.M(),
-			SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
-		})
-	}
+	c.diag.absorb(res.Diag)
+	c.diag.LevelProfile = append(c.diag.LevelProfile, LevelDiag{
+		Level: len(hier.Levels), Vertices: cg.N(), Edges: cg.M(),
+		SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
+	})
 	chi := res.Coloring
 
-	// Cancellation unwinds through the inner pipeline itself: it threads
-	// c.run and surfaces ctx.Err() as its error, which the check below
-	// turns into an immediate return, so each level is one
+	// Cancellation unwinds through the inner run itself: it threads c.run
+	// and surfaces ctx.Err() as its error, which the check below turns
+	// into an immediate return, so each level is one
 	// checkpoint-granularity unit.
-	//repro:checkpoint-ok the inner pipeline polls c.run internally and its error return exits the loop — DESIGN.md §8
+	//repro:checkpoint-ok the inner run polls c.run internally and its error return exits the loop — DESIGN.md §8
 	for i := len(hier.Levels) - 1; i >= 0; i-- {
 		chi = hier.Levels[i].Project(chi)
 		fg := fineAt(i)
@@ -201,21 +185,19 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		if lopt.Splitter == nil {
 			lopt.Splitter, warm = warmRefined(fg, chi, c.par)
 		}
-		res, err = RefinePipeline(nil).withPi(pi).Run(c.run, fg, lopt, chi)
+		res, err = drive(c.run, fg, lopt, pi, chi, nil)
 		if err != nil {
 			return nil, err
 		}
-		if c.diag != nil {
-			c.diag.absorb(res.Diag)
-			ld := LevelDiag{
-				Level: i, Vertices: fg.N(), Edges: fg.M(),
-				SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
-			}
-			if warm != nil {
-				ld.WarmHits = warm.Hits()
-			}
-			c.diag.LevelProfile = append(c.diag.LevelProfile, ld)
+		c.diag.absorb(res.Diag)
+		ld := LevelDiag{
+			Level: i, Vertices: fg.N(), Edges: fg.M(),
+			SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
 		}
+		if warm != nil {
+			ld.WarmHits = warm.Hits()
+		}
+		c.diag.LevelProfile = append(c.diag.LevelProfile, ld)
 		chi = res.Coloring
 	}
 	return chi, nil

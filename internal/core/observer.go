@@ -7,8 +7,8 @@ import "time"
 // Decompose visits the four classic stages in declaration order, a Refine
 // resumes at StageAlmostStrict (or straight at StagePolish when the prior
 // coloring is still strict), and a multilevel Decompose opens with
-// StageCoarsen before the per-level inner pipelines replay the classic
-// stages on each graph of the hierarchy.
+// StageMultilevel and StageCoarsen before the per-level inner runs replay
+// the classic stages on each graph of the hierarchy.
 type StageName string
 
 const (
@@ -48,10 +48,11 @@ const (
 // the merged stream is not monotonic). When per-run attribution matters,
 // attach a fresh observer per run via Options.Observer (or per session
 // via the Instance's options) instead of engine-wide. A multilevel run
-// additionally nests: after StageCoarsen, each hierarchy level replays the
-// classic stage events (and restarts its OracleCall total) on its own
-// graph — consumers that need level attribution should count StageCoarsen
-// and StageMultiBalance boundaries.
+// additionally nests: after StageCoarsen, the coarsest level runs the
+// Decompose stages and every finer level the Refine stages, each on its
+// own graph and with its own OracleCall total. Only the coarsest level
+// emits StageMultiBalance; every level's run ends with exactly one
+// StagePolish pair, so consumers that need level attribution count those.
 type Observer interface {
 	// StageEnter fires when a pipeline stage begins.
 	StageEnter(s StageName)

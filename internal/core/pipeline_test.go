@@ -2,71 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
 
-// TestPipelineAssemblyMatchesEntryPoints pins the refactoring contract:
-// Decompose and Refine (global or over a dirty set) are nothing but
-// DecomposePipeline / RefinePipeline driven by Pipeline.Run, so a
-// hand-assembled identical pipeline produces the byte-identical coloring
-// and the same oracle-call count.
-func TestPipelineAssemblyMatchesEntryPoints(t *testing.T) {
-	g := workload.ClimateMesh(24, 24, 3, 7)
-	opt := Options{K: 8, Parallelism: 1}
-
-	want, err := Decompose(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage(nil)).
-		Run(context.Background(), g, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(want.Coloring, got.Coloring) {
-		t.Fatal("hand-assembled pipeline coloring differs from Decompose")
-	}
-	if want.Diag.SplitterCalls != got.Diag.SplitterCalls {
-		t.Fatalf("oracle calls differ: %d vs %d", want.Diag.SplitterCalls, got.Diag.SplitterCalls)
-	}
-
-	// Perturb the weights so the prior is no longer strict, then compare
-	// Refine with its assembly.
-	w2 := append([]float64(nil), g.Weight...)
-	for v := range w2 {
-		if v%3 == 0 {
-			w2[v] *= 4
-		}
-	}
-	g2 := g.WithWeights(w2)
-	var dirty []int32
-	for v := int32(0); int(v) < g2.N(); v += 17 {
-		dirty = append(dirty, v)
-	}
-	for _, d := range [][]int32{nil, dirty} {
-		wantR, err := Refine(context.Background(), g2, opt, want.Coloring, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotR, err := NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage(d)).
-			Run(context.Background(), g2, opt, want.Coloring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(wantR.Coloring, gotR.Coloring) {
-			t.Fatalf("hand-assembled refine pipeline differs from Refine (dirty %v)", d != nil)
-		}
-		if wantR.Diag.SplitterCalls != gotR.Diag.SplitterCalls {
-			t.Fatalf("refine oracle calls differ (dirty %v): %d vs %d", d != nil, wantR.Diag.SplitterCalls, gotR.Diag.SplitterCalls)
-		}
-	}
-}
-
 // TestRefineStrictPriorSkipsToPolish pins the zero-oracle-calls resume:
-// with a still-strict prior, the rebalancing group must expand to nothing.
+// with a still-strict prior, the rebalancing stages must not run.
 func TestRefineStrictPriorSkipsToPolish(t *testing.T) {
 	g := workload.ClimateMesh(20, 20, 3, 9)
 	res, err := Decompose(context.Background(), g, Options{K: 6, Parallelism: 1})
@@ -79,6 +26,117 @@ func TestRefineStrictPriorSkipsToPolish(t *testing.T) {
 	}
 	if warm.Diag.SplitterCalls != 0 {
 		t.Fatalf("strict prior paid %d oracle calls, want 0", warm.Diag.SplitterCalls)
+	}
+}
+
+// eventLog records a run's Observer stream as space-separated tokens:
+// "+name" and "-name" for stage enter and leave, "round" for a polish
+// round. Oracle calls are not recorded. When cancelAfter is set, the
+// StageLeave of that stage cancels the run.
+type eventLog struct {
+	NopObserver
+	events      []string
+	cancelAfter StageName
+	cancel      context.CancelFunc
+}
+
+func (l *eventLog) StageEnter(s StageName) { l.events = append(l.events, "+"+string(s)) }
+
+func (l *eventLog) StageLeave(s StageName, _ time.Duration) {
+	l.events = append(l.events, "-"+string(s))
+	if s == l.cancelAfter {
+		l.cancel()
+	}
+}
+
+func (l *eventLog) PolishRound(int, bool) { l.events = append(l.events, "round") }
+
+// TestObserverEventStreams pins the stage sequence every kind of run
+// emits: which stages run, in which order, and where a cancellation
+// raised inside a StageLeave callback stops the run.
+func TestObserverEventStreams(t *testing.T) {
+	g := workload.ClimateMesh(24, 24, 3, 7)
+	base := Options{K: 8, Parallelism: 1}
+	strict, err := Decompose(context.Background(), g, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2 := slices.Clone(g.Weight)
+	for v := range w2 {
+		if v%3 == 0 {
+			w2[v] *= 4
+		}
+	}
+	g2 := g.WithWeights(w2)
+
+	const (
+		head     = `^\+multibalance -multibalance `
+		toStrict = `\+almoststrict -almoststrict \+strictpack -strictpack `
+		polish   = `\+polish( round)+ -polish$`
+	)
+	ml := &Multilevel{MinVertices: 128}
+	cases := []struct {
+		name        string
+		opt         Options
+		prior       []int32 // nil runs Decompose
+		dirty       []int32
+		drifted     bool // run on the drifted weights
+		cancelAfter StageName
+		want        string // regexp over the joined event tokens
+	}{
+		{name: "decompose", want: head + toStrict + polish},
+		{name: "refine strict prior", prior: strict.Coloring, want: `^` + polish},
+		{name: "refine broken prior", prior: strict.Coloring, drifted: true, want: `^` + toStrict + polish},
+		{name: "refine empty dirty set", prior: strict.Coloring, dirty: []int32{}, want: `^\+polish round -polish$`},
+		{name: "skip shrink", opt: Options{SkipShrink: true}, want: head + toStrict + polish},
+		{name: "skip polish", opt: Options{SkipPolish: true}, want: head + toStrict + `\+polish -polish$`},
+		{name: "multilevel", opt: Options{Multilevel: ml}, want: `^\+multilevel \+coarsen -coarsen .* -multilevel$`},
+		{name: "cancel after multibalance", cancelAfter: StageMultiBalance, want: `^\+multibalance -multibalance$`},
+		{name: "cancel after almoststrict", cancelAfter: StageAlmostStrict, want: head + `\+almoststrict -almoststrict$`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			log := &eventLog{cancelAfter: tc.cancelAfter, cancel: cancel}
+			opt := tc.opt
+			opt.K, opt.Parallelism, opt.Observer = base.K, base.Parallelism, log
+			on := g
+			if tc.drifted {
+				on = g2
+			}
+			var res Result
+			var err error
+			if tc.prior == nil {
+				res, err = Decompose(run, on, opt)
+			} else {
+				res, err = Refine(run, on, opt, tc.prior, tc.dirty)
+			}
+			if tc.cancelAfter != "" {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			got := strings.Join(log.events, " ")
+			if !regexp.MustCompile(tc.want).MatchString(got) {
+				t.Fatalf("events %q do not match %q", got, tc.want)
+			}
+			if tc.opt.Multilevel == nil {
+				return
+			}
+			if res.Diag.Levels == 0 {
+				t.Fatal("multilevel run built no level")
+			}
+			count := func(tok string) int { return strings.Count(" "+got+" ", " "+tok+" ") }
+			if n := count("+multibalance"); n != 1 || count("-multibalance") != 1 {
+				t.Fatalf("%d multibalance pairs, want 1", n)
+			}
+			if n := count("+polish"); n != res.Diag.Levels+1 || count("-polish") != n {
+				t.Fatalf("%d polish pairs, want Levels+1 = %d", n, res.Diag.Levels+1)
+			}
+		})
 	}
 }
 
@@ -97,43 +155,45 @@ func TestMultilevelRejectsMeasures(t *testing.T) {
 	}
 }
 
-// TestMultilevelStageRequiresConfig pins the assembly error path.
-func TestMultilevelStageRequiresConfig(t *testing.T) {
-	g := workload.ClimateMesh(8, 8, 2, 1)
-	_, err := NewPipeline(MultilevelStage()).Run(context.Background(), g, Options{K: 2}, nil)
-	if err == nil {
-		t.Fatal("MultilevelStage ran without Options.Multilevel")
-	}
-}
-
 // TestMultilevelDiagnostics checks the multilevel accounting: levels and
-// coarsen time recorded, oracle calls aggregated across the hierarchy and
-// far below the direct path's count on an oracle-bound instance.
+// coarsen time recorded, one LevelProfile entry per solve from the
+// coarsest down to the input graph, and the per-level oracle calls
+// summing to the run's total.
 func TestMultilevelDiagnostics(t *testing.T) {
 	g := workload.ClimateMesh(48, 48, 4, 2)
-	direct, err := Decompose(context.Background(), g, Options{K: 8, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ml, err := Decompose(context.Background(), g, Options{
 		K: 8, Parallelism: 1, Multilevel: &Multilevel{MinVertices: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ml.Diag.Levels == 0 {
+	d := ml.Diag
+	if d.Levels == 0 {
 		t.Fatal("no coarsening levels recorded")
 	}
-	if ml.Diag.Coarsen <= 0 {
+	if d.Coarsen <= 0 {
 		t.Fatal("no coarsening time recorded")
 	}
-	if ml.Diag.SplitterCalls == 0 {
+	if d.SplitterCalls == 0 {
 		t.Fatal("multilevel run recorded no oracle calls at all")
+	}
+	if len(d.LevelProfile) != d.Levels+1 {
+		t.Fatalf("%d LevelProfile entries, want Levels+1 = %d", len(d.LevelProfile), d.Levels+1)
+	}
+	if last := d.LevelProfile[d.Levels]; last.Level != 0 || last.Vertices != g.N() {
+		t.Fatalf("last LevelProfile entry is level %d with %d vertices, want level 0 with %d",
+			last.Level, last.Vertices, g.N())
+	}
+	var calls int64
+	for _, ld := range d.LevelProfile {
+		calls += ld.SplitterCalls
+	}
+	if calls != d.SplitterCalls {
+		t.Fatalf("per-level oracle calls sum to %d, run total %d", calls, d.SplitterCalls)
 	}
 	if v := Verify(g, Options{K: 8}, ml, 20); !v.OK() {
 		t.Fatalf("multilevel result failed verification: %v", v.Errors)
 	}
-	_ = direct
 }
 
 // TestMultilevelDeterministic: same options ⇒ byte-identical multilevel

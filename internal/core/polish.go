@@ -28,42 +28,33 @@ type polishState struct {
 	avg, window, tol float64
 }
 
-func (c *ctx) polish(chi []int32, k int, rounds int) []int32 {
-	return c.polishRegion(chi, k, rounds, nil)
-}
-
-// polishLocal is the localized polish pass: candidates are restricted to
-// the closed neighborhood of the dirty vertex set (the changed region of a
-// topology mutation plus its border, where new boundary costs can appear),
-// while balance feasibility stays global. With an empty dirty set it
-// degenerates to a no-op sweep.
-func (c *ctx) polishLocal(chi []int32, k int, rounds int, dirty []int32) []int32 {
-	g := c.g
-	active := make([]bool, g.N())
-	for _, v := range dirty {
-		active[v] = true
-		for _, e := range g.IncidentEdges(v) {
-			active[g.Other(e, v)] = true
-		}
-	}
-	return c.polishRegion(chi, k, rounds, active)
-}
-
-func (c *ctx) polishRegion(chi []int32, k int, rounds int, active []bool) []int32 {
+// polish runs up to rounds improvement sweeps over chi. dirty selects the
+// candidates: nil sweeps the whole graph; otherwise only the closed
+// neighborhood of those vertices (the changed region of a topology
+// mutation plus its border, where new boundary costs can appear) is
+// swept, so an empty set sweeps nothing. Balance feasibility stays global
+// either way.
+func (c *ctx) polish(chi []int32, k int, rounds int, dirty []int32) []int32 {
 	if k <= 1 || rounds <= 0 {
 		return append([]int32(nil), chi...)
 	}
 	g := c.g
 	ps := &polishState{
-		c:      c,
-		k:      k,
-		out:    append([]int32(nil), chi...),
-		cw:     g.ClassWeights(chi, k),
-		cb:     g.ClassBoundaryCosts(chi, k),
-		active: active,
+		c:   c,
+		k:   k,
+		out: append([]int32(nil), chi...),
+		cw:  g.ClassWeights(chi, k),
+		cb:  g.ClassBoundaryCosts(chi, k),
 	}
-	if active != nil {
-		for v, a := range active {
+	if dirty != nil {
+		ps.active = make([]bool, g.N())
+		for _, v := range dirty {
+			ps.active[v] = true
+			for _, e := range g.IncidentEdges(v) {
+				ps.active[g.Other(e, v)] = true
+			}
+		}
+		for v, a := range ps.active {
 			if a {
 				ps.activeList = append(ps.activeList, int32(v))
 			}

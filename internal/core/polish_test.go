@@ -23,7 +23,7 @@ func TestPolishPreservesStrictBalance(t *testing.T) {
 			chi = c.chunkedGreedy(chi, k)
 		}
 		before := graph.Stats(g, chi, k)
-		out := c.polish(chi, k, 4)
+		out := c.polish(chi, k, 4, nil)
 		after := graph.Stats(g, out, k)
 		if !after.StrictlyBalanced {
 			t.Fatalf("trial %d: polish broke strict balance (dev %v bound %v)",
@@ -57,7 +57,7 @@ func TestPolishImprovesScatteredColoring(t *testing.T) {
 		t.Skip("random permutation unexpectedly unbalanced")
 	}
 	before := graph.Stats(g, chi, k)
-	out := c.polish(chi, k, 8)
+	out := c.polish(chi, k, 8, nil)
 	after := graph.Stats(g, out, k)
 	if !after.StrictlyBalanced {
 		t.Fatal("polish broke strict balance")
@@ -72,13 +72,13 @@ func TestPolishNoopCases(t *testing.T) {
 	gr, g := gridGraph(t, 4, 4)
 	c := testCtx(g, gr, 2)
 	chi := make([]int32, g.N())
-	out := c.polish(chi, 1, 3) // k=1
+	out := c.polish(chi, 1, 3, nil) // k=1
 	for i := range out {
 		if out[i] != chi[i] {
 			t.Fatal("k=1 polish changed coloring")
 		}
 	}
-	out = c.polish(chi, 4, 0) // zero rounds
+	out = c.polish(chi, 4, 0, nil) // zero rounds
 	for i := range out {
 		if out[i] != chi[i] {
 			t.Fatal("0-round polish changed coloring")
