@@ -13,9 +13,10 @@ import (
 // its body calls long-running work — any function taking a
 // context.Context, or one of the documented long-work helpers (the
 // splitting oracle and the graph traversal/contraction machinery). Such a
-// loop must also contain a checkpoint: a call to interrupted, split, or
-// parRange (which checkpoint internally), a ctx.Err()-style call, or a
-// receive from a done channel. Audited exceptions carry
+// loop must also contain a checkpoint: context.Context's Err, one of the
+// core ctx methods interrupted, split or parRange (which checkpoint
+// internally), or a receive from a done channel. A callee is a checkpoint
+// by its type, never by its name alone. Audited exceptions carry
 // //repro:checkpoint-ok with a DESIGN.md citation.
 var CtxCheckpoint = &Analyzer{
 	Name:      "ctxcheckpoint",
@@ -35,20 +36,19 @@ var longWorkNames = map[string]bool{
 	"Components":    true,
 	"InducedCopy":   true,
 	// The parallel-multilevel primitives (DESIGN.md §14): O(M) aggregation
-	// or ordering sweeps that either checkpoint internally per chunk or
-	// count as one checkpoint-granularity unit at the call site.
+	// or ordering sweeps that take no context, so one call is one
+	// checkpoint-granularity unit at the call site.
 	"ContractPar":      true,
 	"SplittingCostPar": true,
 	"warmOrder":        true,
 }
 
-// checkpointNames are calls that poll (or internally poll) the run's
-// cancellation: the core ctx helpers and the context.Context Err method.
-var checkpointNames = map[string]bool{
+// ctxCheckpoints are the methods of the analyzed package's own ctx type
+// that poll the run's cancellation (core's ctx, DESIGN.md §8).
+var ctxCheckpoints = map[string]bool{
 	"interrupted": true,
 	"split":       true,
 	"parRange":    true,
-	"Err":         true,
 }
 
 func runCtxCheckpoint(pass *Pass) error {
@@ -72,7 +72,7 @@ func runCtxCheckpoint(pass *Pass) error {
 				switch m := m.(type) {
 				case *ast.CallExpr:
 					name := calleeName(m)
-					if checkpointNames[name] {
+					if isCheckpoint(pass, m) {
 						checkpointed = true
 					}
 					if work == "" && isLongWork(pass.Info, m, name) {
@@ -94,6 +94,29 @@ func runCtxCheckpoint(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isCheckpoint reports whether call polls the run's cancellation: the Err
+// method of context.Context, or a ctxCheckpoints method whose receiver is
+// the ctx type declared in the analyzed package. A bufio.Scanner's Err or
+// a free function named split is no checkpoint.
+func isCheckpoint(pass *Pass, call *ast.CallExpr) bool {
+	fn := funcFor(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	if fn.Name() == "Err" {
+		return fn.Pkg().Path() == "context"
+	}
+	if !ctxCheckpoints[fn.Name()] || fn.Pkg().Path() != pass.Pkg.Path() {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named := namedOf(recv.Type())
+	return named != nil && named.Obj().Name() == "ctx"
 }
 
 // isLongWork reports whether call is long-running work: its callee has a

@@ -3,7 +3,10 @@
 //repro:deterministic-core
 package a
 
-import "context"
+import (
+	"bufio"
+	"context"
+)
 
 type oracle struct{}
 
@@ -14,7 +17,11 @@ func longWork(ctx context.Context) {}
 
 func short() {}
 
-func interrupted() bool { return false }
+// ctx stands in for core's run context: its interrupted, split and
+// parRange methods are the checkpoints.
+type ctx struct{}
+
+func (*ctx) interrupted() bool { return false }
 
 func badCtxCallee(ctx context.Context, items []int) {
 	for range items { // want `without a cancellation checkpoint`
@@ -48,11 +55,31 @@ func badNamedCheckpoint(ctx context.Context, items []int) {
 	}
 }
 
-func goodInterrupted(ctx context.Context, items []int) {
+func goodInterrupted(c *ctx, run context.Context, items []int) {
 	for range items {
-		if interrupted() {
+		if c.interrupted() {
 			return
 		}
+		longWork(run)
+	}
+}
+
+// A bufio.Scanner's Err reports a read error, not a cancelled run.
+func badScannerErr(sc *bufio.Scanner, ctx context.Context, items []int) {
+	for range items { // want `without a cancellation checkpoint`
+		if sc.Err() != nil {
+			return
+		}
+		longWork(ctx)
+	}
+}
+
+// split is a plain function, not the ctx method that checkpoints.
+func split() {}
+
+func badLocalSplit(ctx context.Context, items []int) {
+	for range items { // want `without a cancellation checkpoint`
+		split()
 		longWork(ctx)
 	}
 }

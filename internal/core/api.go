@@ -230,8 +230,8 @@ func newCtx(run context.Context, g *graph.Graph, opt Options, pi []float64) (*ct
 	opt.P = p
 	opt.Parallelism = par
 	if pi == nil {
-		// The π sweep is the pow-heavy prelude of every run; fan it across
-		// the pool (bit-identical at any parallelism — each π(v) is an
+		// The π sweep is the O(M) prelude of every run; fan it across the
+		// pool (bit-identical at any parallelism — each π(v) is an
 		// independent per-vertex sum).
 		pi = measure.SplittingCostPar(g, p, 1, par)
 	}

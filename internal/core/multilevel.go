@@ -104,7 +104,7 @@ func (c *ctx) multilevel() ([]int32, error) {
 	}
 
 	// Overlap: while level i refines, the next finer level's splitting-cost
-	// prelude (the pow-heavy π sweep every inner run pays at context
+	// prelude (the O(M) π sweep every inner run pays at context
 	// construction) computes concurrently. π depends only on the static
 	// level graph — never on the evolving coloring — and is bit-identical
 	// wherever it is computed, so the overlap changes wall time only. The

@@ -432,8 +432,24 @@ func PNorm(xs []float64, p float64) float64 {
 		return 0
 	}
 	s := 0.0
-	for _, x := range xs {
-		s += math.Pow(x/m, p)
+	if p == 2 {
+		// math.Pow(r, 2) rounds the squared mantissa once and scales it by
+		// an exact power of two, so it equals r*r bit for bit unless the
+		// square is subnormal (|r| < 2^-511), where the scaling rounds a
+		// second time; only there is Pow kept. The float64 conversion
+		// stops the compiler from fusing r*r into the sum: a multiply-add
+		// rounds once where Pow's square rounds before the add.
+		for _, x := range xs {
+			if r := x / m; math.Abs(r) < 0x1p-511 {
+				s += math.Pow(r, 2)
+			} else {
+				s += float64(r * r)
+			}
+		}
+	} else {
+		for _, x := range xs {
+			s += math.Pow(x/m, p)
+		}
 	}
 	return m * math.Pow(s, 1/p)
 }

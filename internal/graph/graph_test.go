@@ -197,6 +197,58 @@ func TestPNorm(t *testing.T) {
 	}
 }
 
+// squareEdgeCosts are the values around which c*c and math.Pow(c, 2) may
+// part: 0, the smallest |c| with a normal square (2^-511) and its
+// predecessor, 1e-160 (subnormal square), a value whose Pow square rounds
+// twice and so differs from c*c in the last bit, and 1e200 (square
+// overflows).
+var squareEdgeCosts = []float64{0, 0x1p-511, math.Nextafter(0x1p-511, 0), 1e-160, 0x1.d54f55eb5a64p-512, 1e200}
+
+// TestPNormSquaresLikePow pins PNorm at p = 2 to the math.Pow form of the
+// norm, bit for bit, on slices mixing ordinary costs with squareEdgeCosts.
+func TestPNormSquaresLikePow(t *testing.T) {
+	powNorm := func(xs []float64) float64 {
+		m := 0.0
+		for _, x := range xs {
+			m = math.Max(m, x)
+		}
+		if m == 0 {
+			return 0
+		}
+		s := 0.0
+		for _, x := range xs {
+			s += math.Pow(x/m, 2)
+		}
+		return m * math.Pow(s, 1.0/2)
+	}
+	slices := [][]float64{
+		{3, 4},
+		squareEdgeCosts,
+		append([]float64{1}, squareEdgeCosts[:5]...),
+		append([]float64{0.37, 2.5, 1}, squareEdgeCosts[1:5]...),
+		squareEdgeCosts[1:5],
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for j := range xs {
+			if rng.Intn(4) == 0 {
+				xs[j] = squareEdgeCosts[rng.Intn(len(squareEdgeCosts))]
+			} else {
+				xs[j] = math.Exp(rng.NormFloat64())
+			}
+		}
+		slices = append(slices, xs)
+	}
+	for _, xs := range slices {
+		got, want := PNorm(xs, 2), powNorm(xs)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("PNorm(%v, 2) = %v (%x), math.Pow form %v (%x)",
+				xs, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestPNormMonotoneInP(t *testing.T) {
 	// ‖x‖_p is non-increasing in p.
 	if err := quick.Check(func(raw []float64) bool {

@@ -96,20 +96,39 @@ const splittingParCutoff = 1 << 15
 // is an independent sum over v's own incidence list, so every entry is
 // computed in the identical floating-point order at any par — the measure
 // is bit-identical to the sequential sweep's. par ≤ 1 runs fully
-// sequentially with no goroutines. The sweep is pow-heavy (one math.Pow
-// per incidence), which is what makes it the dominant prelude of every
-// pipeline run on large graphs.
+// sequentially with no goroutines. At p = 2 each incidence adds
+// float64(c*c) in place of math.Pow(c, 2), falling back to Pow where the
+// square is subnormal: the same value bit for bit, and the conversion
+// keeps the product out of a fused multiply-add (graph.PNorm gives the
+// argument). Other p pay one math.Pow per incidence.
 func SplittingCostPar(g *graph.Graph, p, sigma float64, par int) Measure {
 	n := g.N()
 	m := make(Measure, n)
 	sp := math.Pow(sigma, p)
-	sweep := func(lo, hi int32) {
-		for v := lo; v < hi; v++ {
-			s := 0.0
-			for _, e := range g.IncidentEdges(v) {
-				s += math.Pow(g.Cost[e], p)
+	var sweep func(lo, hi int32)
+	if p == 2 {
+		sweep = func(lo, hi int32) {
+			for v := lo; v < hi; v++ {
+				s := 0.0
+				for _, e := range g.IncidentEdges(v) {
+					if c := g.Cost[e]; math.Abs(c) < 0x1p-511 {
+						s += math.Pow(c, 2)
+					} else {
+						s += float64(c * c)
+					}
+				}
+				m[v] = sp * s / 2
 			}
-			m[v] = sp * s / 2
+		}
+	} else {
+		sweep = func(lo, hi int32) {
+			for v := lo; v < hi; v++ {
+				s := 0.0
+				for _, e := range g.IncidentEdges(v) {
+					s += math.Pow(g.Cost[e], p)
+				}
+				m[v] = sp * s / 2
+			}
 		}
 	}
 	if par <= 1 || n < splittingParCutoff {

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -103,14 +104,80 @@ func TestClassTotals(t *testing.T) {
 
 func TestSplittingCostParMatchesSequential(t *testing.T) {
 	g := workload.RandomGeometric(40000, 0.012, 10, 11) // ≥ splittingParCutoff vertices
-	seq := SplittingCostPar(g, 2.4, 1.3, 1)
-	for _, par := range []int{2, 4, 8} {
-		got := SplittingCostPar(g, 2.4, 1.3, par)
-		for v := range seq {
-			if math.Float64bits(got[v]) != math.Float64bits(seq[v]) {
-				t.Fatalf("par=%d: π(%d) differs bitwise: %x vs %x",
-					par, v, math.Float64bits(got[v]), math.Float64bits(seq[v]))
+	for _, p := range []float64{2, 2.4} {
+		seq := SplittingCostPar(g, p, 1.3, 1)
+		for _, par := range []int{2, 4, 8} {
+			got := SplittingCostPar(g, p, 1.3, par)
+			for v := range seq {
+				if math.Float64bits(got[v]) != math.Float64bits(seq[v]) {
+					t.Fatalf("p=%v par=%d: π(%d) differs bitwise: %x vs %x",
+						p, par, v, math.Float64bits(got[v]), math.Float64bits(seq[v]))
+				}
 			}
 		}
+	}
+}
+
+// powSplittingCost is π of Definition 10 at p = 2 and σ = 1 with one
+// math.Pow per incidence.
+func powSplittingCost(g *graph.Graph) Measure {
+	m := make(Measure, g.N())
+	for v := int32(0); v < int32(g.N()); v++ {
+		s := 0.0
+		for _, e := range g.IncidentEdges(v) {
+			s += math.Pow(g.Cost[e], 2)
+		}
+		m[v] = s / 2
+	}
+	return m
+}
+
+// TestSplittingCostSquaresLikePow pins π at p = 2 to the math.Pow form,
+// bit for bit, at par 1 and 2: on seeded climate meshes, and on a small
+// graph whose costs reach the subnormal squares where c*c and
+// math.Pow(c, 2) may part.
+func TestSplittingCostSquaresLikePow(t *testing.T) {
+	check := func(name string, g *graph.Graph) {
+		t.Helper()
+		want := powSplittingCost(g)
+		for _, par := range []int{1, 2} {
+			got := SplittingCostPar(g, 2, 1, par)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s par=%d: π(%d) = %v (%x), math.Pow form %v (%x)", name, par, v,
+						got[v], math.Float64bits(got[v]), want[v], math.Float64bits(want[v]))
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		check(fmt.Sprintf("96² mesh seed %d", seed), workload.ClimateMesh(96, 96, 3, seed))
+	}
+
+	// Each edge cost c sits on a vertex whose two edges both cost c, so
+	// π there is (c² + c²)/2 = c² exactly and a last-bit difference in the
+	// square shows; the hub sums every cost once more beside ordinary ones.
+	costs := []float64{0, 0x1p-511, math.Nextafter(0x1p-511, 0), 1e-160, 0x1.d54f55eb5a64p-512, 1e200, 1.5, 0.25}
+	b := graph.NewBuilder(1 + 2*len(costs))
+	for i, c := range costs {
+		v, u := int32(1+2*i), int32(2+2*i)
+		b.AddEdge(0, v, c)
+		b.AddEdge(v, u, c)
+	}
+	check("edge costs", b.MustBuild())
+}
+
+// BenchmarkSplittingCostPar times the π sweep at p = 2 over a 224² climate
+// mesh, the size of the direct workload's instances. 224² vertices lie
+// above splittingParCutoff, so par=2 fans the sweep out.
+func BenchmarkSplittingCostPar(b *testing.B) {
+	g := workload.ClimateMesh(224, 224, 3, 1)
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SplittingCostPar(g, 2, 1, par)
+			}
+		})
 	}
 }
