@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CtxCheckpoint enforces the cancellation contract of DESIGN.md §8: every
@@ -15,8 +14,9 @@ import (
 // splitting oracle and the graph traversal/contraction machinery). Such a
 // loop must also contain a checkpoint: context.Context's Err, one of the
 // core ctx methods interrupted, split or parRange (which checkpoint
-// internally), or a receive from a done channel. A callee is a checkpoint
-// by its type, never by its name alone. Audited exceptions carry
+// internally), or a receive from the run's done channel (context.Context's
+// Done, or core ctx's done field). A callee or a channel is a checkpoint by
+// its type, never by its name alone. Audited exceptions carry
 // //repro:checkpoint-ok with a DESIGN.md citation.
 var CtxCheckpoint = &Analyzer{
 	Name:      "ctxcheckpoint",
@@ -81,7 +81,7 @@ func runCtxCheckpoint(pass *Pass) error {
 				case *ast.UnaryExpr:
 					// A receive from the run's done channel is the raw
 					// form of the interrupted() checkpoint.
-					if m.Op.String() == "<-" && isDoneChannel(m.X) {
+					if m.Op.String() == "<-" && isDoneChannel(pass, m.X) {
 						checkpointed = true
 					}
 				}
@@ -108,15 +108,19 @@ func isCheckpoint(pass *Pass, call *ast.CallExpr) bool {
 	if fn.Name() == "Err" {
 		return fn.Pkg().Path() == "context"
 	}
-	if !ctxCheckpoints[fn.Name()] || fn.Pkg().Path() != pass.Pkg.Path() {
+	if !ctxCheckpoints[fn.Name()] {
 		return false
 	}
 	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	named := namedOf(recv.Type())
-	return named != nil && named.Obj().Name() == "ctx"
+	return recv != nil && isRunCtx(pass, recv.Type())
+}
+
+// isRunCtx reports whether t, or the type t points to, is the ctx type
+// declared in the analyzed package (core's run context).
+func isRunCtx(pass *Pass, t types.Type) bool {
+	named := namedOf(t)
+	return named != nil && named.Obj().Name() == "ctx" &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Pkg.Path()
 }
 
 // isLongWork reports whether call is long-running work: its callee has a
@@ -143,16 +147,20 @@ func isLongWork(info *types.Info, call *ast.CallExpr, name string) bool {
 	return false
 }
 
-// isDoneChannel reports whether e textually names a done channel (c.done,
-// ctx.Done(), done).
-func isDoneChannel(e ast.Expr) bool {
+// isDoneChannel reports whether e is the run's done channel: a call of
+// context.Context's Done method, or the done field of the ctx type
+// declared in the analyzed package (core's cached run.Done()). A local or
+// parameter named done may carry anything, a worker's result for one, so
+// it is no checkpoint.
+func isDoneChannel(pass *Pass, e ast.Expr) bool {
 	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return strings.EqualFold(e.Name, "done")
-	case *ast.SelectorExpr:
-		return strings.EqualFold(e.Sel.Name, "done")
 	case *ast.CallExpr:
-		return calleeName(e) == "Done"
+		fn := funcFor(pass.Info, e)
+		return fn != nil && fn.Name() == "Done" && fn.Pkg() != nil && fn.Pkg().Path() == "context"
+	case *ast.SelectorExpr:
+		sel := pass.Info.Selections[e]
+		return sel != nil && sel.Kind() == types.FieldVal && sel.Obj().Name() == "done" &&
+			isRunCtx(pass, sel.Recv())
 	}
 	return false
 }

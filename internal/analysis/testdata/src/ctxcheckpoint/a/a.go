@@ -18,8 +18,11 @@ func longWork(ctx context.Context) {}
 func short() {}
 
 // ctx stands in for core's run context: its interrupted, split and
-// parRange methods are the checkpoints.
-type ctx struct{}
+// parRange methods are the checkpoints, and so is a receive from its done
+// field.
+type ctx struct {
+	done <-chan struct{}
+}
 
 func (*ctx) interrupted() bool { return false }
 
@@ -84,10 +87,61 @@ func badLocalSplit(ctx context.Context, items []int) {
 	}
 }
 
-func goodDoneChannel(done chan struct{}, ctx context.Context, items []int) {
+func goodDoneChannel(c *ctx, run context.Context, items []int) {
 	for range items {
 		select {
-		case <-done:
+		case <-c.done:
+			return
+		default:
+		}
+		longWork(run)
+	}
+}
+
+func goodContextDone(ctx context.Context, items []int) {
+	for range items {
+		select {
+		case <-ctx.Done():
+			return
+		default:
+		}
+		longWork(ctx)
+	}
+}
+
+// A local channel named done carries a worker's result, not a cancellation.
+func badLocalDone(ctx context.Context, items []int) {
+	done := make(chan int, 1)
+	for range items { // want `without a cancellation checkpoint`
+		done <- 1
+		<-done
+		longWork(ctx)
+	}
+}
+
+// job is not the run context: neither its done field nor its Done method
+// polls the run's cancellation.
+type job struct {
+	done chan struct{}
+}
+
+func (j *job) Done() <-chan struct{} { return j.done }
+
+func badOtherDoneField(j *job, ctx context.Context, items []int) {
+	for range items { // want `without a cancellation checkpoint`
+		select {
+		case <-j.done:
+			return
+		default:
+		}
+		longWork(ctx)
+	}
+}
+
+func badOtherDoneMethod(j *job, ctx context.Context, items []int) {
+	for range items { // want `without a cancellation checkpoint`
+		select {
+		case <-j.Done():
 			return
 		default:
 		}

@@ -38,15 +38,36 @@ func (c *ctx) polish(chi []int32, k int, rounds int, dirty []int32) []int32 {
 	if k <= 1 || rounds <= 0 {
 		return append([]int32(nil), chi...)
 	}
+	ps := c.newPolishState(chi, k, dirty)
+	for round := 0; round < rounds; round++ {
+		if c.interrupted() {
+			break
+		}
+		improved := ps.sweep(ps.borders())
+		c.polishRound(round, improved)
+		if !improved {
+			break
+		}
+	}
+	return ps.out
+}
+
+// newPolishState sets up a pass over a copy of chi. The global path (nil
+// dirty) leaves cb zero: every round rebuilds it exactly in its border
+// scan. The localized path computes it once here, and from then on it
+// changes only through committed moves.
+func (c *ctx) newPolishState(chi []int32, k int, dirty []int32) *polishState {
 	g := c.g
 	ps := &polishState{
 		c:   c,
 		k:   k,
 		out: append([]int32(nil), chi...),
 		cw:  g.ClassWeights(chi, k),
-		cb:  g.ClassBoundaryCosts(chi, k),
 	}
-	if dirty != nil {
+	if dirty == nil {
+		ps.cb = make([]float64, k)
+	} else {
+		ps.cb = g.ClassBoundaryCosts(chi, k)
 		ps.active = make([]bool, g.N())
 		for _, v := range dirty {
 			ps.active[v] = true
@@ -65,30 +86,26 @@ func (c *ctx) polish(chi []int32, k int, rounds int, dirty []int32) []int32 {
 	ps.avg = total / float64(k)
 	ps.window = (1 - 1/float64(k)) * maxw
 	ps.tol = 1e-9 * (ps.avg + maxw + 1)
-
-	for round := 0; round < rounds; round++ {
-		if c.interrupted() {
-			break
-		}
-		improved := ps.round()
-		c.polishRound(round, improved)
-		if !improved {
-			break
-		}
-	}
-	return ps.out
+	return ps
 }
 
 // moveDelta returns the exact boundary-cost changes (dFrom for v's current
-// class, dTo for class `to`) of moving v, under the current coloring.
+// class, dTo for class `to`) of moving v, under the current coloring with
+// one exception: vertex joined, unless negative, counts as a member of v's
+// class. That is the coloring a swap reaches after its first move, so a
+// swap is scored without applying it.
 // Classes other than from/to are unaffected: their cut edges to v stay cut.
-func (ps *polishState) moveDelta(v, to int32) (dFrom, dTo float64) {
+func (ps *polishState) moveDelta(v, to, joined int32) (dFrom, dTo float64) {
 	g := ps.c.g
 	from := ps.out[v]
 	for _, e := range g.IncidentEdges(v) {
 		o := g.Other(e, v)
+		cls := ps.out[o]
+		if o == joined {
+			cls = from
+		}
 		cost := g.Cost[e]
-		switch ps.out[o] {
+		switch cls {
 		case from:
 			dFrom += cost // becomes cut
 			dTo += cost
@@ -106,7 +123,7 @@ func (ps *polishState) moveDelta(v, to int32) (dFrom, dTo float64) {
 // applyMove commits the move of v to class `to`.
 func (ps *polishState) applyMove(v, to int32) {
 	from := ps.out[v]
-	dFrom, dTo := ps.moveDelta(v, to)
+	dFrom, dTo := ps.moveDelta(v, to, -1)
 	ps.cb[from] += dFrom
 	ps.cb[to] += dTo
 	w := ps.c.g.Weight[v]
@@ -131,70 +148,18 @@ const (
 	borderParCutoff = 1 << 16
 )
 
-// round performs one sweep; returns whether anything improved.
-func (ps *polishState) round() bool {
+// borders lists the border vertices of each class (those with at least
+// one cut edge). The localized path scans only the active vertices'
+// incidence lists and admits only active border vertices as candidates.
+// The global path also rebuilds cb from the crossing edges it visits: it
+// adds them in ascending edge id, as ClassBoundaryCosts does, so every
+// round starts from class boundaries bit-identical to a fresh
+// ClassBoundaryCosts, at any parallelism.
+func (ps *polishState) borders() [][]int32 {
 	g := ps.c.g
-	k := ps.k
-	maxB := maxOf(ps.cb)
-	if maxB <= 0 {
-		return false
-	}
-	// Border vertices per class (those with at least one cut edge). The
-	// localized path scans only the active vertices' incidence lists and
-	// admits only active border vertices as candidates.
-	border := make([][]int32, k)
+	border := make([][]int32, ps.k)
 	isBorder := make([]bool, g.N())
-	if ps.active == nil {
-		// The O(M) crossing-edge scan dominates a round on large graphs, so
-		// it fans across the pool: workers collect each chunk's crossing
-		// edges (a pure read of the frozen pre-round coloring), and the
-		// in-order merge below visits them in ascending edge id — the
-		// identical first-seen discovery order the sequential scan produces,
-		// so the border lists are bit-identical at any parallelism.
-		m := g.M()
-		if ps.c.sem != nil && m >= borderParCutoff {
-			nChunks := (m + borderChunk - 1) / borderChunk
-			crossing := make([][]int32, nChunks)
-			ps.c.parRange(nChunks, func(i int) {
-				lo := i * borderChunk
-				hi := lo + borderChunk
-				if hi > m {
-					hi = m
-				}
-				var out []int32
-				for e := lo; e < hi; e++ {
-					u, v := g.Endpoints(int32(e))
-					if ps.out[u] != ps.out[v] {
-						out = append(out, int32(e))
-					}
-				}
-				crossing[i] = out
-			})
-			for _, chunk := range crossing {
-				for _, e := range chunk {
-					u, v := g.Endpoints(e)
-					for _, x := range []int32{u, v} {
-						if !isBorder[x] {
-							isBorder[x] = true
-							border[ps.out[x]] = append(border[ps.out[x]], x)
-						}
-					}
-				}
-			}
-		} else {
-			for e := 0; e < m; e++ {
-				u, v := g.Endpoints(int32(e))
-				if ps.out[u] != ps.out[v] {
-					for _, x := range []int32{u, v} {
-						if !isBorder[x] {
-							isBorder[x] = true
-							border[ps.out[x]] = append(border[ps.out[x]], x)
-						}
-					}
-				}
-			}
-		}
-	} else {
+	if ps.active != nil {
 		for _, x := range ps.activeList {
 			for _, e := range g.IncidentEdges(x) {
 				if ps.out[g.Other(e, x)] != ps.out[x] {
@@ -204,8 +169,73 @@ func (ps *polishState) round() bool {
 				}
 			}
 		}
+		return border
 	}
+	clear(ps.cb)
+	// cross charges crossing edge e to both endpoint classes and lists each
+	// endpoint, once, as a border vertex of its class.
+	cross := func(e int32) {
+		u, v := g.Endpoints(e)
+		ps.cb[ps.out[u]] += g.Cost[e]
+		ps.cb[ps.out[v]] += g.Cost[e]
+		for _, x := range [2]int32{u, v} {
+			if !isBorder[x] {
+				isBorder[x] = true
+				border[ps.out[x]] = append(border[ps.out[x]], x)
+			}
+		}
+	}
+	// The O(M) crossing-edge scan dominates a round on large graphs, so it
+	// fans across the pool: workers collect each chunk's crossing edges (a
+	// pure read of the frozen pre-round coloring), and the in-order merge
+	// below visits them in ascending edge id — the identical first-seen
+	// discovery order and summation order the sequential scan produces, so
+	// the border lists and cb are bit-identical at any parallelism.
+	m := g.M()
+	if ps.c.sem != nil && m >= borderParCutoff {
+		nChunks := (m + borderChunk - 1) / borderChunk
+		crossing := make([][]int32, nChunks)
+		ps.c.parRange(nChunks, func(i int) {
+			lo := i * borderChunk
+			hi := lo + borderChunk
+			if hi > m {
+				hi = m
+			}
+			var out []int32
+			for e := lo; e < hi; e++ {
+				u, v := g.Endpoints(int32(e))
+				if ps.out[u] != ps.out[v] {
+					out = append(out, int32(e))
+				}
+			}
+			crossing[i] = out
+		})
+		for _, chunk := range crossing {
+			for _, e := range chunk {
+				cross(e)
+			}
+		}
+		return border
+	}
+	for e := int32(0); e < int32(m); e++ {
+		u, v := g.Endpoints(e)
+		if ps.out[u] != ps.out[v] {
+			cross(e)
+		}
+	}
+	return border
+}
 
+// sweep performs one round over the border lists of borders; it returns
+// whether anything improved. Every decision reads cb, so the round's
+// hotspot maxB is taken after borders has rebuilt it.
+func (ps *polishState) sweep(border [][]int32) bool {
+	g := ps.c.g
+	k := ps.k
+	maxB := maxOf(ps.cb)
+	if maxB <= 0 {
+		return false
+	}
 	improved := false
 	// Receiver-selection scratch, reused across border vertices: perClass
 	// accumulates adjacency per neighboring class, touchedCls records which
@@ -254,7 +284,7 @@ func (ps *polishState) round() bool {
 			if best < 0 {
 				continue
 			}
-			dDonor, dBest := ps.moveDelta(v, best)
+			dDonor, dBest := ps.moveDelta(v, best, -1)
 			if dDonor >= -1e-12 {
 				continue
 			}
@@ -267,7 +297,7 @@ func (ps *polishState) round() bool {
 				continue
 			}
 			// Swap: find a counterpart x in `best` on the mutual border.
-			if ps.trySwap(v, best, border[best], maxB) {
+			if ps.trySwap(v, best, dDonor, dBest, border[best], maxB) {
 				improved = true
 			}
 		}
@@ -278,15 +308,16 @@ func (ps *polishState) round() bool {
 // trySwap attempts to exchange v (in the hot donor class) with a border
 // vertex x of class `to`, committing only if the pairwise exchange keeps
 // both weights in the strict window and strictly lowers
-// max(∂donor, ∂to) without creating a new global hotspot.
-func (ps *polishState) trySwap(v, to int32, candidates []int32, maxB float64) bool {
+// max(∂donor, ∂to) without creating a new global hotspot. dvDonor and
+// dvTo are v's move deltas. Candidates are scored without touching any
+// state: x's deltas count v as already moved into `to`, and the pair's new
+// boundaries are the sums the two moves would leave in cb, so the
+// accepted swap commits exactly the values it was scored by.
+func (ps *polishState) trySwap(v, to int32, dvDonor, dvTo float64, candidates []int32, maxB float64) bool {
 	g := ps.c.g
 	donor := ps.out[v]
-	oldDonor, oldTo := ps.cb[donor], ps.cb[to]
-	oldPair := oldDonor
-	if oldTo > oldPair {
-		oldPair = oldTo
-	}
+	oldPair := max(ps.cb[donor], ps.cb[to])
+	vDonor, vTo := ps.cb[donor]+dvDonor, ps.cb[to]+dvTo
 	for _, x := range candidates {
 		if ps.out[x] != to || x == v {
 			continue
@@ -296,18 +327,16 @@ func (ps *polishState) trySwap(v, to int32, candidates []int32, maxB float64) bo
 		if !ps.weightOK(ps.cw[donor]+dw) || !ps.weightOK(ps.cw[to]-dw) {
 			continue
 		}
-		// Trial: apply both moves, evaluate, revert on failure.
-		ps.applyMove(v, to)
-		ps.applyMove(x, donor)
-		newPair := ps.cb[donor]
-		if ps.cb[to] > newPair {
-			newPair = ps.cb[to]
-		}
-		if newPair < oldPair-1e-12 && ps.cb[donor] < maxB && ps.cb[to] < maxB {
+		dxTo, dxDonor := ps.moveDelta(x, donor, v)
+		newDonor, newTo := vDonor+dxDonor, vTo+dxTo
+		// The maxB checks keep this rule sound on its own. While single
+		// moves keep their receivers below maxB, every class stays at or
+		// below it through a round, so oldPair ≤ maxB implies them.
+		if max(newDonor, newTo) < oldPair-1e-12 && newDonor < maxB && newTo < maxB {
+			ps.applyMove(v, to)
+			ps.applyMove(x, donor)
 			return true
 		}
-		ps.applyMove(x, to)
-		ps.applyMove(v, donor)
 	}
 	return false
 }

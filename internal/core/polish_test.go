@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/splitter"
+	"repro/internal/workload"
 )
 
 func TestPolishPreservesStrictBalance(t *testing.T) {
@@ -171,5 +173,35 @@ func TestRebalanceDynamicMeasureHook(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("dynamic measure hook never invoked on a heavy instance")
+	}
+}
+
+// polishSink keeps BenchmarkPolish's results observable.
+var polishSink []int32
+
+// BenchmarkPolish times the pass as the pipeline calls it (three rounds
+// over the whole graph) at Par 1 and 2, on 192² and 384² ClimateMeshes at
+// k = 16. It starts from the strict coloring of a multilevel SkipPolish
+// run, the path on which polish is the largest layer.
+func BenchmarkPolish(b *testing.B) {
+	const k = 16
+	for _, side := range []int{192, 384} {
+		g := workload.ClimateMesh(side, side, 3, 1)
+		res, err := Decompose(context.Background(), g, Options{K: k, SkipPolish: true, Multilevel: &Multilevel{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Stats.StrictlyBalanced {
+			b.Fatalf("%d² mesh: the SkipPolish coloring is not strictly balanced", side)
+		}
+		for _, par := range []int{1, 2} {
+			c := polishCtx(b, g, k, par)
+			b.Run(fmt.Sprintf("mesh=%d/par=%d", side, par), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					polishSink = c.polish(res.Coloring, k, 3, nil)
+				}
+			})
+		}
 	}
 }

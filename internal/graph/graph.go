@@ -49,14 +49,25 @@ func (g *Graph) Endpoints(e int32) (int32, int32) { return g.edgeU[e], g.edgeV[e
 
 // Other returns the endpoint of edge e that is not v.
 // It panics if v is not an endpoint of e.
+//
+// Every adjacency loop calls Other once per neighbour, so it must stay
+// under the inliner's budget (CI checks that it does). The panic value
+// is therefore a small typed value that formats its message only when
+// asked, rather than a fmt.Sprintf call here.
 func (g *Graph) Other(e, v int32) int32 {
-	switch v {
-	case g.edgeU[e]:
-		return g.edgeV[e]
-	case g.edgeV[e]:
-		return g.edgeU[e]
+	u, w := g.edgeU[e], g.edgeV[e]
+	if v != u && v != w {
+		panic(notEndpoint{e, v})
 	}
-	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %d", v, e))
+	return u ^ w ^ v
+}
+
+// notEndpoint is the panic value of Other: vertex v is not an endpoint of
+// edge e.
+type notEndpoint struct{ e, v int32 }
+
+func (p notEndpoint) Error() string {
+	return fmt.Sprintf("graph: vertex %d is not an endpoint of edge %d", p.v, p.e)
 }
 
 // IncidentEdges returns the edge ids incident to v. The returned slice

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,26 @@ func TestOtherPanicsOnNonEndpoint(t *testing.T) {
 		}
 	}()
 	g.Other(0, 2)
+}
+
+// Other's panic value is a typed error, so that Other stays inlinable; it
+// must still read as the message Other has always panicked with.
+func TestOtherPanicMessage(t *testing.T) {
+	g := path(4)
+	if g.Other(1, 1) != 2 || g.Other(1, 2) != 1 {
+		t.Fatal("Other returned the wrong endpoint")
+	}
+	defer func() {
+		r := recover()
+		err, ok := r.(error)
+		if !ok {
+			t.Fatalf("panic value %#v is not an error", r)
+		}
+		if want := "graph: vertex 3 is not an endpoint of edge 0"; err.Error() != want || fmt.Sprint(r) != want {
+			t.Fatalf("panic message %q, want %q", err.Error(), want)
+		}
+	}()
+	g.Other(0, 3)
 }
 
 func TestEndpointsOrdered(t *testing.T) {
