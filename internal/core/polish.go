@@ -142,10 +142,11 @@ func (ps *polishState) weightOK(x float64) bool {
 }
 
 // borderChunk is the edge granularity of the parallel crossing-edge scan;
-// borderParCutoff is the minimum edge count for which the fan-out pays.
+// borderParCutoff is the minimum edge count for which the fan-out pays
+// (measured in EXPERIMENTS.md, "Polish border-scan cutoff").
 const (
 	borderChunk     = 1 << 15
-	borderParCutoff = 1 << 16
+	borderParCutoff = 1 << 17
 )
 
 // borders lists the border vertices of each class (those with at least

@@ -1,10 +1,7 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro"
 	"repro/internal/graph"
@@ -60,59 +57,4 @@ func OptionsKey(opt repro.Options) string {
 // requestKey is the full cache/coalescing key of a partition request.
 func requestKey(graphID string, opt repro.Options) string {
 	return graphID + "|" + OptionsKey(opt)
-}
-
-// deltaDigest fingerprints a repartition request's weight delta — the
-// memo key that lets repeated identical deltas skip the instance-sized
-// clone-and-rehash. The digest is over the delta only, so its cost is
-// proportional to what the client actually sent. Sections are tagged so
-// e.g. a Set cannot collide with a Scale of the same values.
-func deltaDigest(req *RepartitionRequest) string {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
-	}
-	f64 := func(f float64) { u64(math.Float64bits(f)) }
-	section := func(tag byte, n int) {
-		h.Write([]byte{tag})
-		u64(uint64(n))
-	}
-	section('W', len(req.Weights))
-	for _, wt := range req.Weights {
-		f64(wt)
-	}
-	section('S', len(req.Set))
-	for _, u := range req.Set {
-		u64(uint64(uint32(u.V)))
-		f64(u.W)
-	}
-	section('C', len(req.Scale))
-	for _, u := range req.Scale {
-		u64(uint64(uint32(u.V)))
-		f64(u.W)
-	}
-	if t := req.Topology; t != nil {
-		section('V', len(t.AddVertices))
-		for _, wt := range t.AddVertices {
-			f64(wt)
-		}
-		section('R', len(t.RemoveVertices))
-		for _, v := range t.RemoveVertices {
-			u64(uint64(uint32(v)))
-		}
-		section('E', len(t.AddEdges))
-		for _, e := range t.AddEdges {
-			u64(uint64(uint32(e.U)))
-			u64(uint64(uint32(e.V)))
-			f64(e.Cost)
-		}
-		section('F', len(t.RemoveEdges))
-		for _, e := range t.RemoveEdges {
-			u64(uint64(uint32(e.U)))
-			u64(uint64(uint32(e.V)))
-		}
-	}
-	return fmt.Sprintf("d-%x", h.Sum(nil)[:16])
 }

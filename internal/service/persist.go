@@ -74,7 +74,7 @@ func (s *Server) persistResult(id string, opt repro.Options, res repro.Result) {
 // (O(|delta|)), the derived id closing the digest chain, the result
 // coloring, and the migration entry the session recorded — everything
 // recovery needs to rebuild the session without re-running a pipeline.
-func (s *Server) persistRepart(baseID string, opt repro.Options, d repro.Delta, nextID string, next *graph.Graph, nd graph.ContentDigest, res repro.Result, mig repro.Migration) {
+func (s *Server) persistRepart(baseID string, opt repro.Options, d repro.Delta, nextID string, next storedGraph, res repro.Result, mig repro.Migration) {
 	if s.cfg.Store == nil {
 		return
 	}
@@ -87,7 +87,7 @@ func (s *Server) persistRepart(baseID string, opt repro.Options, d repro.Delta, 
 		UsedFallback: res.UsedFallback,
 		Migration:    store.NewMigrationRec(mig),
 	}}
-	op.Memoize(next, nd)
+	op.Memoize(next.g, next.digest)
 	s.appendOp(op)
 }
 
@@ -102,7 +102,7 @@ func (s *Server) appendOp(op *store.Op) {
 
 // warmFromStore replays the recovered shadow state into the server's
 // working structures, in last-touch order so LRU recency survives the
-// restart: graphs and digests first, then cached results (stats
+// restart: graphs with their digests first, then cached results (stats
 // recomputed deterministically via graph.Stats — diagnostics are
 // execution artifacts and come back zero), then sessions, reborn
 // through the same Instance machinery the live path uses
@@ -112,8 +112,7 @@ func (s *Server) appendOp(op *store.Op) {
 func (s *Server) warmFromStore() {
 	st := s.cfg.Store
 	for _, ge := range st.RecoveredGraphs() {
-		s.graphs.put(ge.ID, ge.Graph)
-		s.digests.put(ge.ID, ge.Digest)
+		s.graphs.put(ge.ID, storedGraph{ge.Graph, ge.Digest})
 	}
 	for _, re := range st.RecoveredResults() {
 		opt := recOptions(re.Opt)

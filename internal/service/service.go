@@ -11,13 +11,14 @@
 //     an LRU keyed by graph-hash × options; concurrent identical misses
 //     are coalesced into one pipeline run; distinct misses are
 //     admission-queued and drained batch-wise onto Engine.Batch.
-//   - POST /v1/repartition — incremental path: a delta against a cached
+//   - POST /v1/repartition — incremental path: a delta against a stored
 //     instance — vertex weights, topology mutations (vertices and edges
-//     appearing and disappearing), or both — resumes the pipeline through
-//     a per-(graph, options) repro.Instance session, which carries the
-//     drift chain's coloring and topology hash digest across requests.
-//     Topology deltas continue the chain under the mutated instance's
-//     derived id (the base session stays bound to the base topology).
+//     appearing and disappearing), or both — goes through one handler
+//     over repro.Delta.Apply and resumes the pipeline through a
+//     repro.Instance session. Weight deltas advance the per-(base graph,
+//     options) session, which carries the drift chain's coloring; topology
+//     deltas continue the chain under the mutated instance's derived id
+//     (the base session stays bound to the base topology).
 //   - GET /v1/stats, /v1/healthz — observability.
 //
 // Serving invariants:
@@ -158,35 +159,30 @@ type Server struct {
 	eng     *repro.Engine
 	metrics *serverMetrics
 	mux     *http.ServeMux
-	graphs  *lru[*graph.Graph]
 	cache   *lru[repro.Result]
 	flight  *flightGroup
 	sched   *scheduler
 
-	// sessions holds the repartition Instances, keyed by base graph id ×
-	// options: each carries one drift chain's session state (current
-	// coloring, topology hash digest), so a chain pays the oracle
-	// construction and edge-list hash once instead of per request. Sized
-	// by GraphStoreSize, not CacheSize: every session pins a full graph,
-	// so the uploaded-instance knob is the one that bounds graph memory.
-	sessions *lru[*repro.Instance]
+	// graphs holds the uploaded and derived instances, each with the
+	// topology half of its content hash, so a repartition derives its
+	// target id from an O(N) weight re-hash (after an O(|mutation|) digest
+	// patch for a topology delta) instead of an O(M log M) edge re-sort.
+	graphs *lru[storedGraph]
 
-	// digests caches the topology half of stored graphs' content hashes,
-	// so a repartition derives its target id from an O(N) weight re-hash
-	// instead of an O(M log M) edge re-sort.
-	digests *lru[graph.ContentDigest]
+	// sessions holds the repartition Instances, keyed by graph id ×
+	// options: each carries one chain's session state (current coloring,
+	// topology hash digest), so a chain pays the oracle construction and
+	// edge-list hash once instead of per request. Weight chains live under
+	// their base id, topology chains under the derived id. Sized by
+	// GraphStoreSize, not CacheSize: every session pins a full graph, so
+	// the uploaded-instance knob is the one that bounds graph memory.
+	sessions *lru[*repro.Instance]
 
 	// repartSem bounds concurrent repartition pipeline executions — the
 	// incremental path runs in the handler (it resumes from a session
 	// prior, so it cannot ride the batch scheduler), and invariant 3
 	// (shed at admission) must hold for it too.
 	repartSem chan struct{}
-
-	// deltaMemo maps baseGraphID + delta digest → derived graph id, so a
-	// repeated identical repartition can reach the result cache without
-	// materializing the drifted weight field (the delta digest is
-	// proportional to the delta, not the instance).
-	deltaMemo *lru[string]
 
 	pipelineRuns int64
 
@@ -222,14 +218,12 @@ func New(cfg Config) *Server {
 		eng:       eng,
 		metrics:   m,
 		mux:       http.NewServeMux(),
-		graphs:    newLRU[*graph.Graph](cfg.GraphStoreSize),
 		cache:     newLRU[repro.Result](cfg.CacheSize),
 		flight:    newFlightGroup(),
 		sched:     newScheduler(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, eng),
+		graphs:    newLRU[storedGraph](cfg.GraphStoreSize),
 		sessions:  newLRU[*repro.Instance](cfg.GraphStoreSize),
-		digests:   newLRU[graph.ContentDigest](cfg.GraphStoreSize),
 		repartSem: make(chan struct{}, cfg.RepartitionConcurrency),
-		deltaMemo: newLRU[string](cfg.CacheSize),
 	}
 	if cfg.Store != nil {
 		// Synchronous warm-up: by the time New returns, every recovered
@@ -349,28 +343,33 @@ func writeError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// storeGraph registers g under its content hash, retaining the topology
-// digest so later reweightings of the same instance re-hash in O(N),
-// and logs the ingestion (src is the raw textual-format payload — the
-// bytes the durable record carries).
+// storedGraph is one entry of the graph store: an instance and its
+// topology digest, evicted together.
+type storedGraph struct {
+	g      *graph.Graph
+	digest graph.ContentDigest
+}
+
+// storeGraph registers g under its content hash, with the topology
+// digest later reweightings and mutations of the instance derive their
+// ids from, and logs the ingestion (src is the raw textual-format
+// payload — the bytes the durable record carries).
 func (s *Server) storeGraph(g *graph.Graph, src []byte) string {
 	d := graph.NewContentDigest(g)
 	id := d.HashWeights(g.Weight)
-	s.graphs.put(id, g)
-	s.digests.put(id, d)
+	s.graphs.put(id, storedGraph{g, d})
 	s.persistUpload(id, src, g, d)
 	return id
 }
 
-// digestOf returns the cached topology digest of a stored graph, computing
-// and retaining it when the digest was evicted but the graph was not.
-func (s *Server) digestOf(id string, g *graph.Graph) graph.ContentDigest {
-	if d, ok := s.digests.peek(id); ok {
-		return d
+// lookupGraph returns the stored instance id names, or a 404.
+func (s *Server) lookupGraph(id string) (storedGraph, error) {
+	sg, ok := s.graphs.get(id)
+	if !ok {
+		return storedGraph{}, &httpError{http.StatusNotFound,
+			fmt.Sprintf("unknown graph_id %q (uploads are LRU-evicted; re-upload)", id)}
 	}
-	d := graph.NewContentDigest(g)
-	s.digests.put(id, d)
-	return d
+	return sg, nil
 }
 
 // checkFinite rejects instances with infinite weights or costs.
@@ -434,12 +433,11 @@ func (s *Server) resolveGraph(graphID, inline string) (*graph.Graph, string, err
 		}
 		return g, s.storeGraph(g, []byte(inline)), nil
 	case graphID != "":
-		g, ok := s.graphs.get(graphID)
-		if !ok {
-			return nil, "", &httpError{http.StatusNotFound,
-				fmt.Sprintf("unknown graph_id %q (uploads are LRU-evicted; re-upload)", graphID)}
+		sg, err := s.lookupGraph(graphID)
+		if err != nil {
+			return nil, "", err
 		}
-		return g, graphID, nil
+		return sg.g, graphID, nil
 	default:
 		return nil, "", badRequest("one of graph_id or graph is required")
 	}
@@ -500,10 +498,9 @@ func (s *Server) partition(ctx context.Context, g *graph.Graph, id string, opt r
 }
 
 // commitRun counts a completed pipeline run, records its per-level
-// metrics and caches it under key: the one commit point of the partition,
-// weight-repartition and topology-repartition paths, so each run is
-// counted exactly once. Cancelled or failed runs never reach it
-// (invariant 5).
+// metrics and caches it under key: the one commit point of the partition
+// and repartition paths, so each run is counted exactly once. Cancelled
+// or failed runs never reach it (invariant 5).
 func (s *Server) commitRun(key string, res repro.Result) {
 	atomic.AddInt64(&s.pipelineRuns, 1)
 	s.metrics.observeLevels(res)
@@ -556,19 +553,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// deltaWeights materializes the drifted weight field of a repartition
-// request via repro.Delta.Materialize — one definition of the delta
-// semantics (Weights, then Set, then Scale, always relative to the
-// *named base instance*, so request meaning never depends on what the
-// session has absorbed since). The base graph is never touched.
-func deltaWeights(base *graph.Graph, req *RepartitionRequest) ([]float64, error) {
-	w, err := requestDelta(req).Materialize(base)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	return w, nil
-}
-
 // requestDelta converts a repartition request to the repro.Delta it
 // denotes — the single definition of delta semantics (canonical
 // composition order, stable addressing) the session API runs, and the
@@ -597,35 +581,64 @@ func requestDelta(req *RepartitionRequest) repro.Delta {
 	return d
 }
 
-// session returns the repartition Instance for (base graph × options),
-// minting one on first use. A fresh session adopts the cached base-result
-// coloring when one exists, so it resumes exactly where the old ad-hoc
-// prior lookup would have. Concurrent first requests may briefly race two
-// instances for one key; the LRU keeps the last, and correctness never
-// depends on which one served a request.
-func (s *Server) session(sessKey, baseID string, base *graph.Graph, opt repro.Options) (*repro.Instance, error) {
-	if inst, ok := s.sessions.peek(sessKey); ok {
+// session returns the repartition Instance for a base graph × options,
+// keyed like the base's cached result, minting one on first use. A fresh
+// session adopts that cached result's coloring when one exists.
+// Concurrent first requests may briefly race two instances for one key;
+// the LRU keeps the last, and correctness never depends on which one
+// served a request.
+func (s *Server) session(key string, base *graph.Graph, opt repro.Options) (*repro.Instance, error) {
+	if inst, ok := s.sessions.peek(key); ok {
 		return inst, nil
 	}
 	inst, err := s.eng.NewInstance(base, opt)
 	if err != nil {
 		return nil, err
 	}
-	if prior, ok := s.cache.peek(requestKey(baseID, opt)); ok {
+	if prior, ok := s.cache.peek(key); ok {
 		// Ignore adoption errors: a stale or mismatched prior just means a
 		// cold start, which Instance.Repartition handles.
 		_ = inst.AdoptColoring(prior.Coloring)
 	}
-	s.sessions.put(sessKey, inst)
+	s.sessions.put(key, inst)
 	return inst, nil
 }
 
-// handleRepartition serves POST /v1/repartition: the incremental path,
-// rebuilt on Instance sessions. Per request it materializes the target
-// weight field (O(N)), derives the target id from the cached topology
-// digest (O(N) — never an O(M log M) re-sort), and on a cache miss runs
-// Instance.Repartition under the request's context, which resumes from
-// the session's drift-chain coloring.
+// migration measures how far next moved from prior across the applied
+// delta: vertex by vertex for a weight delta, across the id remap for a
+// topology delta (inserted vertices always migrate, removed ones never
+// do). A missing prior, or one of another vertex count, reports none.
+func migration(ap repro.Applied, prior, next []int32) repro.Migration {
+	switch {
+	case prior == nil:
+	case ap.Topo != nil && len(prior) == len(ap.Topo.OldToNew):
+		return repro.MigrationAcross(ap.Graph, ap.Topo.OldToNew, prior, next)
+	case ap.Topo == nil && len(prior) == ap.Graph.N():
+		return repro.MigrationOf(ap.Graph, prior, next)
+	}
+	return repro.Migration{}
+}
+
+// handleRepartition serves POST /v1/repartition, one sequence for weight
+// and topology deltas alike. It applies the request's delta to the named
+// base with repro.Delta.Apply (Weights, then Set, then Scale, always
+// relative to the base, so request meaning never depends on what a
+// session has absorbed since), and derives the target id from the base's
+// stored digest — patched in O(|mutation|) amortized for a topology
+// delta, then an O(N) weight re-hash. The id equals the canonical
+// content hash of the patched graph, so the cache stays
+// content-addressed. On a cache miss it runs Instance.Repartition under
+// the request's context. Invalid deltas and cancelled runs leave every
+// session, graph and cache entry untouched.
+//
+// The session policy is the one the op-log replay mirrors
+// (store.applyRepart). A weight delta advances the base-keyed session,
+// which carries the drift chain. A topology delta never does: that
+// session's coloring lives in the base vertex space, and later weight
+// deltas against the base id must keep resolving there. Instead a fresh
+// instance seeded from the prior absorbs the mutation and is stored under
+// the derived id, so deltas chaining off the response's graph_id resume
+// warm.
 func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var req RepartitionRequest
@@ -646,52 +659,33 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sessKey := requestKey(req.GraphID, opt)
-	if req.Topology != nil && !topoEmpty(req.Topology) {
-		s.handleTopologyRepartition(w, ctx, &req, opt, sessKey)
+	base, err := s.lookupGraph(req.GraphID)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-
-	// Fast path: an identical delta against the same base was seen before
-	// and its result is still cached — answer without materializing
-	// anything instance-sized.
-	memoKey := req.GraphID + "|" + deltaDigest(&req)
-	var (
-		nextID  string
-		targetW []float64
-		next    *graph.Graph
-	)
-	if id, ok := s.deltaMemo.peek(memoKey); ok {
-		if g2, ok := s.graphs.peek(id); ok {
-			nextID, next = id, g2
-		}
+	d := requestDelta(&req)
+	ap, err := d.Apply(base.g)
+	if err != nil {
+		writeError(w, badRequest("%v", err))
+		return
 	}
-	if next == nil {
-		base, ok := s.graphs.get(req.GraphID)
-		if !ok {
-			writeError(w, &httpError{http.StatusNotFound,
-				fmt.Sprintf("unknown graph_id %q (uploads are LRU-evicted; re-upload)", req.GraphID)})
-			return
-		}
-		targetW, err = deltaWeights(base, &req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		next = base.WithWeights(targetW)
-		nextID = s.digestOf(req.GraphID, base).HashWeights(targetW)
-		s.deltaMemo.put(memoKey, nextID)
+	next := storedGraph{ap.Graph, base.digest}
+	if ap.Topo != nil {
+		next.digest = base.digest.Patch(ap.Topo)
 	}
+	nextID := next.digest.HashWeights(next.g.Weight)
 
 	// Snapshot the prior the migration report is measured against: the
-	// session's current coloring, or the cached base result a fresh
+	// base session's current coloring, or the cached base result a fresh
 	// session would adopt.
+	baseKey := requestKey(req.GraphID, opt)
 	var prior []int32
-	if inst, ok := s.sessions.peek(sessKey); ok {
+	if inst, ok := s.sessions.peek(baseKey); ok {
 		prior = inst.Coloring()
 	}
 	if prior == nil {
-		if res, ok := s.cache.peek(requestKey(req.GraphID, opt)); ok {
+		if res, ok := s.cache.peek(baseKey); ok {
 			prior = res.Coloring
 		}
 	}
@@ -700,21 +694,6 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	key := requestKey(nextID, opt)
 	res, cached := s.cache.get(key)
 	if !cached {
-		if targetW == nil {
-			// Memo fast path found the derived graph but its result was
-			// evicted: recover the weight field from the stored graph.
-			targetW = next.Weight
-		}
-		base, ok := s.graphs.get(req.GraphID)
-		if !ok {
-			// The base was evicted but the derived instance is resident
-			// (memo fast path). The session only needs the shared topology
-			// and the delta is already materialized as a full weight
-			// field, so the derived graph stands in for the base — the
-			// pre-session code served this path without base too.
-			base = next
-		}
-		var err error
 		res, err, _ = s.flight.do(ctx, key, func(execCtx context.Context) (repro.Result, error) {
 			// Shed at admission, like the partition path's queue: bound
 			// how many incremental pipelines run at once.
@@ -724,30 +703,45 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 			default:
 				return repro.Result{}, errQueueFull
 			}
-			inst, err := s.session(sessKey, req.GraphID, base, opt)
-			if err != nil {
-				return repro.Result{}, err
+			// runPrior is the coloring the run resumes from: the durable
+			// record carries the migration entry the instance itself
+			// appends, which is measured against it.
+			runPrior, runDelta := prior, d
+			var inst *repro.Instance
+			var err error
+			if ap.Topo == nil {
+				if inst, err = s.session(baseKey, base.g, opt); err != nil {
+					return repro.Result{}, err
+				}
+				runPrior = inst.Coloring()
+				// The session absorbs the materialized weight field, never
+				// the client's Set/Scale: those are relative to the named
+				// base, and the session may already have absorbed other
+				// deltas.
+				runDelta = repro.Delta{Weights: next.g.Weight}
+			} else {
+				if inst, err = s.eng.NewInstance(base.g, opt); err != nil {
+					return repro.Result{}, err
+				}
+				if prior != nil {
+					// Adoption failure just means a cold start, as in session().
+					_ = inst.AdoptColoring(prior)
+				}
 			}
-			// Snapshot the session prior this run resumes from: the durable
-			// record must carry the migration entry the session itself
-			// appends, which is measured against this coloring (identical
-			// weights and topology, so MigrationOf agrees bit-for-bit).
-			runPrior := inst.Coloring()
-			out, err := inst.Repartition(execCtx, repro.Delta{Weights: targetW})
+			out, err := inst.Repartition(execCtx, runDelta)
 			if err != nil {
-				// Cancelled or failed: the session kept its prior state and
+				// Cancelled or failed: the instance kept its prior state and
 				// no cache entry is written (invariant 5).
 				return repro.Result{}, err
 			}
 			s.commitRun(key, out)
-			var runMig repro.Migration
-			if runPrior != nil && len(runPrior) == next.N() {
-				runMig = repro.MigrationOf(next, runPrior, out.Coloring)
+			if ap.Topo != nil {
+				s.sessions.put(key, inst)
 			}
 			// Leader-only (inside the flight), so coalesced followers and
 			// cached repeats never double-log.
-			s.persistRepart(req.GraphID, opt, requestDelta(&req), nextID, next,
-				s.digestOf(req.GraphID, base), out, runMig)
+			s.persistRepart(req.GraphID, opt, d, nextID, next, out,
+				migration(ap, runPrior, out.Coloring))
 			return out, nil
 		})
 		if err != nil {
@@ -756,23 +750,17 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// (Re-)register the drifted instance under the derived id we are about
-	// to hand out — on every successful answer, cached repeats included,
-	// so the id stays addressable for chains and follow-up /v1/partition
-	// queries even after uploads evicted it. `next` shares the session
+	// (Re-)register the derived instance under the id we are about to hand
+	// out — on every successful answer, cached repeats included, so the id
+	// stays addressable for chains and follow-up /v1/partition queries even
+	// after uploads evicted it. A weight delta's graph shares the base
 	// topology and drifts swap fresh weight slices, so the stored snapshot
 	// can never be mutated. (Deliberately not inst.Hash()/inst.Graph(): a
 	// concurrent drift on the same session may already have advanced those
 	// past this request's state.)
 	s.graphs.put(nextID, next)
-	if d, ok := s.digests.peek(req.GraphID); ok {
-		s.digests.put(nextID, d)
-	}
 
-	var mig repro.Migration
-	if prior != nil && len(prior) == next.N() {
-		mig = repro.MigrationOf(next, prior, res.Coloring)
-	}
+	mig := migration(ap, prior, res.Coloring)
 	resp := RepartitionResponse{
 		GraphID:      nextID,
 		PriorGraphID: req.GraphID,
@@ -794,120 +782,6 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 func topoEmpty(t *TopologyWire) bool {
 	return len(t.AddVertices) == 0 && len(t.RemoveVertices) == 0 &&
 		len(t.AddEdges) == 0 && len(t.RemoveEdges) == 0
-}
-
-// handleTopologyRepartition serves the topology-mutating half of POST
-// /v1/repartition. It differs from the weight path in three load-bearing
-// ways. First, the derived id comes from patching the base instance's
-// topology digest (O(|mutation|) amortized) and must equal the canonical
-// content hash of the mutated graph — the cache stays content-addressed.
-// Second, the base-keyed session is never advanced: its coloring lives in
-// the base vertex space, and later weight deltas against the base id must
-// keep resolving there. Instead a fresh instance seeded from the base
-// prior absorbs the mutation and is stored under the derived id, so
-// further deltas chaining off the response's graph_id resume warm.
-// Third, invalid mutations (or cancellation) are rejected before — or
-// unwound without — touching any stored state: sessions, graphs and
-// digests are untouched on every non-200.
-func (s *Server) handleTopologyRepartition(w http.ResponseWriter, ctx context.Context, req *RepartitionRequest, opt repro.Options, sessKey string) {
-	base, ok := s.graphs.get(req.GraphID)
-	if !ok {
-		writeError(w, &httpError{http.StatusNotFound,
-			fmt.Sprintf("unknown graph_id %q (uploads are LRU-evicted; re-upload)", req.GraphID)})
-		return
-	}
-	d := requestDelta(req)
-	ap, err := d.Apply(base)
-	if err != nil {
-		writeError(w, badRequest("%v", err))
-		return
-	}
-	next := ap.Graph
-	nextDigest := s.digestOf(req.GraphID, base).Patch(ap.Topo)
-	nextID := nextDigest.HashWeights(next.Weight)
-
-	// The migration prior: the base session's current coloring, or the
-	// cached base result a fresh session would adopt.
-	var prior []int32
-	if inst, ok := s.sessions.peek(sessKey); ok {
-		prior = inst.Coloring()
-	}
-	if prior == nil {
-		if res, ok := s.cache.peek(requestKey(req.GraphID, opt)); ok {
-			prior = res.Coloring
-		}
-	}
-	coldStart := prior == nil
-
-	key := requestKey(nextID, opt)
-	res, cached := s.cache.get(key)
-	if !cached {
-		res, err, _ = s.flight.do(ctx, key, func(execCtx context.Context) (repro.Result, error) {
-			select {
-			case s.repartSem <- struct{}{}:
-				defer func() { <-s.repartSem }()
-			default:
-				return repro.Result{}, errQueueFull
-			}
-			// A fresh instance bound to the base graph: the base-keyed
-			// session must stay on the base topology.
-			inst, err := s.eng.NewInstance(base, opt)
-			if err != nil {
-				return repro.Result{}, err
-			}
-			if prior != nil {
-				// Adoption failure just means a cold start, as in session().
-				_ = inst.AdoptColoring(prior)
-			}
-			out, err := inst.Repartition(execCtx, d)
-			if err != nil {
-				// Cancelled or failed: nothing was stored (invariant 5), and
-				// the base session was never involved.
-				return repro.Result{}, err
-			}
-			s.commitRun(key, out)
-			// The mutated session continues the chain under the derived id.
-			s.sessions.put(requestKey(nextID, opt), inst)
-			var runMig repro.Migration
-			if prior != nil && len(prior) == base.N() {
-				// The same expression the fresh instance just committed to
-				// its history — the durable record restates it verbatim.
-				runMig = repro.MigrationAcross(next, ap.Topo.OldToNew, prior, out.Coloring)
-			}
-			s.persistRepart(req.GraphID, opt, d, nextID, next, nextDigest, out, runMig)
-			return out, nil
-		})
-		if err != nil {
-			writeError(w, preferCallerCtxErr(ctx, err))
-			return
-		}
-	}
-
-	// Register the mutated instance under the id we hand out, with its
-	// patched digest, so chains and follow-up queries keep resolving after
-	// upload evictions — same rule as the weight path.
-	s.graphs.put(nextID, next)
-	s.digests.put(nextID, nextDigest)
-
-	var mig repro.Migration
-	if prior != nil && len(prior) == base.N() {
-		mig = repro.MigrationAcross(next, ap.Topo.OldToNew, prior, res.Coloring)
-	}
-	resp := RepartitionResponse{
-		GraphID:      nextID,
-		PriorGraphID: req.GraphID,
-		K:            req.K,
-		Cached:       cached,
-		ColdStart:    coldStart,
-		Migration:    MigrationWire{Vertices: mig.Vertices, Weight: mig.Weight, Fraction: mig.Fraction},
-		UsedFallback: res.UsedFallback,
-		Stats:        statsWire(res.Stats),
-		Diag:         diagWire(res),
-	}
-	if req.IncludeColoring {
-		resp.Coloring = res.Coloring
-	}
-	writeJSON(w, resp)
 }
 
 // Stats returns the serving counters — the same snapshot /v1/stats

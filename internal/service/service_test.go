@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,6 +314,28 @@ func TestRepartitionRepeatIsCached(t *testing.T) {
 	}
 }
 
+// Every weight delta is relative to the named base, never to the weights
+// the base session absorbed from an earlier delta: the answer colors the
+// base with only this request's delta applied.
+func TestRepartitionDeltasStayBaseRelative(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	g := workload.ClimateMesh(14, 14, 3, 8)
+	up := uploadGraph(t, ts.URL, g)
+	postJSON(t, ts.URL+"/v1/partition", PartitionRequest{GraphID: up.GraphID, K: 4}, &PartitionResponse{})
+	for i, scale := range []WeightUpdate{{V: 3, W: 2}, {V: 40, W: 3}} {
+		var resp RepartitionResponse
+		req := RepartitionRequest{GraphID: up.GraphID, K: 4, Scale: []WeightUpdate{scale}, IncludeColoring: true}
+		if code := postJSON(t, ts.URL+"/v1/repartition", req, &resp); code != http.StatusOK {
+			t.Fatalf("delta %d: status %d", i, code)
+		}
+		want := g.Clone()
+		want.Weight[scale.V] *= scale.W
+		if exp := statsWire(graph.Stats(want, resp.Coloring, 4)); !reflect.DeepEqual(resp.Stats, exp) {
+			t.Fatalf("delta %d: stats %+v, want those of the base with only this delta applied %+v", i, resp.Stats, exp)
+		}
+	}
+}
+
 func TestUploadRejectsNonFinite(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// +Inf parses as a float and passes graph.Validate, but would make the
@@ -358,6 +381,31 @@ func TestGraphStoreEviction(t *testing.T) {
 	}
 	if got := serverStats(t, ts.URL).GraphsStored; got != 2 {
 		t.Fatalf("graphs stored = %d, want 2", got)
+	}
+}
+
+// A repartition naming an evicted base answers 404 whatever its delta
+// kind, even when an identical earlier delta's derived graph is still
+// stored.
+func TestRepartitionEvictedBaseIs404(t *testing.T) {
+	_, ts := newTestServer(t, Config{GraphStoreSize: 2})
+	a := uploadGraph(t, ts.URL, workload.ClimateMesh(8, 8, 2, 1))
+	if code := postJSON(t, ts.URL+"/v1/partition", PartitionRequest{GraphID: a.GraphID, K: 2}, nil); code != http.StatusOK {
+		t.Fatalf("partition status %d", code)
+	}
+	scale := RepartitionRequest{GraphID: a.GraphID, K: 2, Scale: []WeightUpdate{{V: 0, W: 2}}}
+	if code := postJSON(t, ts.URL+"/v1/repartition", scale, nil); code != http.StatusOK {
+		t.Fatalf("scale delta status %d", code)
+	}
+	// The store now holds A's derived graph and B; A itself is evicted.
+	uploadGraph(t, ts.URL, workload.ClimateMesh(8, 8, 2, 2))
+
+	topo := RepartitionRequest{GraphID: a.GraphID, K: 2,
+		Topology: &TopologyWire{RemoveEdges: []EdgeRefWire{{U: 0, V: 1}}}}
+	for name, req := range map[string]RepartitionRequest{"repeated scale": scale, "topology": topo} {
+		if code := postJSON(t, ts.URL+"/v1/repartition", req, nil); code != http.StatusNotFound {
+			t.Errorf("%s delta against the evicted base: status %d, want 404", name, code)
+		}
 	}
 }
 

@@ -154,9 +154,10 @@ func TestStressShutdownWhileDraining(t *testing.T) {
 	}
 }
 
-// The repartition path races its semaphore, the delta memo, the graph
-// store, and the flight group at once; concurrent identical and distinct
-// deltas must never corrupt a served coloring.
+// The repartition path races its semaphore, the graph store, the flight
+// group, and the base session's advance against sessions stored under
+// derived ids, all at once; concurrent identical and distinct weight and
+// topology deltas must never corrupt a served coloring.
 func TestStressRepartitionConcurrent(t *testing.T) {
 	s := New(Config{BatchWindow: -1, RepartitionConcurrency: 4, QueueDepth: 256})
 	ts := httptest.NewServer(s.Handler())
@@ -174,7 +175,7 @@ func TestStressRepartitionConcurrent(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	const workers = 12
+	const workers = 16
 	var wg sync.WaitGroup
 	var bad int64
 	for w := 0; w < workers; w++ {
@@ -182,14 +183,25 @@ func TestStressRepartitionConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				// Workers 0–5 send one identical delta (coalesce +
-				// memo); the rest send distinct ones (semaphore churn).
-				f := 2.0
-				if w >= 6 {
-					f = 1 + float64(w*8+i)/100
+				// Workers 0–5 send one identical delta (coalesce + cache
+				// hits); 6–11 send distinct ones (semaphore churn); 12–15
+				// send base-relative topology deltas, eight distinct ones
+				// that each worker repeats, so fresh instances land under
+				// derived keys while the base session advances.
+				n := g.N() // the vertex count of the answer's coloring
+				var body string
+				if w < 12 {
+					f := 2.0
+					if w >= 6 {
+						f = 1 + float64(w*8+i)/100
+					}
+					body = fmt.Sprintf(`{"graph_id":%q,"k":4,"scale":[{"v":%d,"w":%g}],"include_coloring":true}`,
+						id, (w*3+i)%4, f)
+				} else {
+					body = fmt.Sprintf(`{"graph_id":%q,"k":4,"topology":{"add_vertices":[1],"add_edges":[{"u":%d,"v":%d,"cost":1}]},"include_coloring":true}`,
+						id, n, (w+i)%8)
+					n++
 				}
-				body := fmt.Sprintf(`{"graph_id":%q,"k":4,"scale":[{"v":%d,"w":%g}],"include_coloring":true}`,
-					id, (w*3+i)%4, f)
 				resp, err := http.Post(ts.URL+"/v1/repartition", "application/json", strBody(body))
 				if err != nil {
 					atomic.AddInt64(&bad, 1)
@@ -198,7 +210,7 @@ func TestStressRepartitionConcurrent(t *testing.T) {
 				switch resp.StatusCode {
 				case http.StatusOK:
 					var rr RepartitionResponse
-					if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil ||
+					if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil || len(rr.Coloring) != n ||
 						graph.CheckColoring(rr.Coloring, 4) != nil || !rr.Stats.StrictlyBalanced {
 						atomic.AddInt64(&bad, 1)
 					}

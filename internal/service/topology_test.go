@@ -119,15 +119,32 @@ func TestTopologyRepartitionDerivesCanonicalID(t *testing.T) {
 		t.Fatal("chained delta cold-started; the mutated session should be warm")
 	}
 
-	// Identical mutation again: pure cache hit, zero migration (the chain
-	// session absorbed it, and the report is measured against the base
-	// session's coloring — unchanged by design).
+	// Identical mutation again: pure cache hit, reporting the first answer's
+	// migration. A topology delta never advances the base session, so the
+	// report is measured against the same base coloring as before.
 	var again RepartitionResponse
 	if code := postJSON(t, ts.URL+"/v1/repartition", req, &again); code != http.StatusOK {
 		t.Fatalf("repeat status %d", code)
 	}
 	if !again.Cached || again.GraphID != resp.GraphID {
 		t.Fatalf("repeat: cached=%v id=%s, want cached id %s", again.Cached, again.GraphID, resp.GraphID)
+	}
+	if again.Migration != resp.Migration {
+		t.Fatalf("repeat migration %+v, want the first answer's %+v", again.Migration, resp.Migration)
+	}
+
+	// A base-relative weight delta still resolves in the base vertex space,
+	// warm: the base session never absorbed the mutation.
+	var drift RepartitionResponse
+	dreq := RepartitionRequest{GraphID: up.GraphID, K: 4, Scale: []WeightUpdate{{V: 3, W: 2}}, IncludeColoring: true}
+	if code := postJSON(t, ts.URL+"/v1/repartition", dreq, &drift); code != http.StatusOK {
+		t.Fatalf("base weight delta after the mutation: status %d", code)
+	}
+	if drift.ColdStart {
+		t.Fatal("base weight delta cold-started; the base session should be warm")
+	}
+	if len(drift.Coloring) != g.N() {
+		t.Fatalf("base weight delta colored %d vertices, want the base's %d", len(drift.Coloring), g.N())
 	}
 }
 
@@ -282,20 +299,4 @@ func TestTopologyRepartitionEmptyBlockIsWeightPath(t *testing.T) {
 	if got := requestDelta(&req); !reflect.DeepEqual(got, want) {
 		t.Fatalf("empty topology block gave delta %+v, want %+v", got, want)
 	}
-}
-
-func TestDeltaDigestSeparatesTopologySections(t *testing.T) {
-	// Equal payload bits in different topology sections must not collide
-	// (an add_edges request is not a remove_edges request).
-	a := &RepartitionRequest{GraphID: "g", Topology: &TopologyWire{AddEdges: []EdgeWire{{U: 1, V: 2, Cost: 0}}}}
-	b := &RepartitionRequest{GraphID: "g", Topology: &TopologyWire{RemoveEdges: []EdgeRefWire{{U: 1, V: 2}}}}
-	c := &RepartitionRequest{GraphID: "g"}
-	if deltaDigest(a) == deltaDigest(b) {
-		t.Fatal("add_edges and remove_edges digests collide")
-	}
-	if deltaDigest(a) == deltaDigest(c) || deltaDigest(b) == deltaDigest(c) {
-		t.Fatal("topology digest collides with the empty delta")
-	}
-	var buf bytes.Buffer
-	_ = json.NewEncoder(&buf).Encode(a)
 }

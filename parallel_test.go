@@ -26,8 +26,10 @@ import (
 // colorings. Corpus instances sit below most fan-out cutoffs (the gates
 // route them through the sequential forms at any setting, which is itself
 // part of the contract); the large cases appended after the corpus sit
-// above every cutoff — matching, contraction, π sweep, FM gain fill and
-// polish border scan all take their parallel branches there.
+// above every cutoff but the polish border scan's — matching,
+// contraction, π sweep and FM gain fill all take their parallel branches
+// there. The border scan's parallel branch is checked on 256² meshes by
+// internal/core's TestPolishMatchesTrialReference.
 func TestMultilevelParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeded corpus is a full-test concern")
@@ -36,8 +38,8 @@ func TestMultilevelParallelDeterminism(t *testing.T) {
 	if len(cases) < 200 {
 		t.Fatalf("corpus has %d cases, want ≥ 200", len(cases))
 	}
-	// Large instances: above every parallel cutoff (192² = 36864 vertices,
-	// 73344 edges).
+	// Large instances: above every parallel cutoff but the polish border
+	// scan's (192² = 36864 vertices, 73344 edges).
 	for seed := int64(1); seed <= 2; seed++ {
 		gr := grid.MustBox(192, 192)
 		workload.ApplyFields(gr, workload.LognormalWeights(0.5), nil, seed)
