@@ -2,9 +2,10 @@
 // the serving front end of the reproduction (DESIGN.md §6, §8). It wraps
 // the internal/service subsystem: an LRU result cache keyed by canonical
 // graph+options hashes, singleflight coalescing of concurrent identical
-// queries, a batch scheduler that drains independent requests onto
-// repro.Engine.Batch, and an incremental /v1/repartition endpoint backed
-// by per-(graph, options) Instance sessions for weight-drift workloads.
+// queries, GOMAXPROCS run slots shared by every cache miss (a miss that
+// finds them all busy is shed with 503), and an incremental
+// /v1/repartition endpoint backed by per-(graph, options) Instance
+// sessions for weight-drift workloads.
 // Request contexts propagate into the pipeline: a disconnected client or
 // an expired deadline cancels its decomposition mid-run (answered 499/504
 // and counted separately from capacity sheds).
@@ -19,16 +20,16 @@
 //
 // Usage:
 //
-//	reprosrv [-addr :8080] [-cache 256] [-graphs 64] [-max-batch 32]
-//	         [-batch-window 2ms] [-queue 256] [-par 0] [-req-timeout 0]
-//	         [-data-dir ""] [-snapshot-interval 1m] [-fsync batch]
+//	reprosrv [-addr :8080] [-cache 256] [-graphs 64] [-par 0]
+//	         [-req-timeout 0] [-data-dir ""] [-snapshot-interval 1m]
+//	         [-fsync batch]
 //
 // Endpoints:
 //
 //	POST /v1/graphs       upload a graph (textual format of internal/graph/io)
 //	POST /v1/partition    {"graph_id": "...", "k": 16}
 //	POST /v1/repartition  {"graph_id": "...", "k": 16, "scale": [{"v":0,"w":2}]}
-//	GET  /v1/stats        cache/coalescing/scheduler/persistence counters
+//	GET  /v1/stats        cache/coalescing/shed/persistence counters
 //	GET  /v1/healthz      liveness
 //	GET  /metrics         Prometheus text exposition: per-stage pipeline
 //	                      latency histograms (multibalance, almoststrict,
@@ -57,9 +58,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", 256, "result-cache capacity (entries)")
 	graphs := flag.Int("graphs", 64, "uploaded-graph store capacity")
-	maxBatch := flag.Int("max-batch", 32, "max jobs per scheduler drain")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "scheduler gather window")
-	queue := flag.Int("queue", 256, "admission-queue depth (overflow is 503)")
 	par := flag.Int("par", 0, "pipeline worker-pool bound (0 = GOMAXPROCS)")
 	reqTimeout := flag.Duration("req-timeout", 0, "server-side per-request deadline; expiry cancels the pipeline and answers 504 (0 = unlimited)")
 	dataDir := flag.String("data-dir", "", "durable state directory: op-log + snapshots, recovered on boot (empty = in-memory only)")
@@ -70,9 +68,6 @@ func main() {
 	cfg := service.Config{
 		CacheSize:      *cache,
 		GraphStoreSize: *graphs,
-		MaxBatch:       *maxBatch,
-		BatchWindow:    *window,
-		QueueDepth:     *queue,
 		Parallelism:    *par,
 		RequestTimeout: *reqTimeout,
 	}
@@ -109,8 +104,9 @@ func main() {
 	}
 
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, drain in-flight
-	// requests, stop the batch scheduler, then seal the durable log with a
-	// final snapshot — the next boot recovers without replay.
+	// requests, close the server to further pipeline runs, then seal the
+	// durable log with a final snapshot — the next boot recovers without
+	// replay.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	done := make(chan error, 1)

@@ -232,7 +232,6 @@ func TestServeClimatePartitionEndToEnd(t *testing.T) {
 		"repro_requests_served_total",
 		"repro_requests_shed_total",
 		"repro_coalesced_total",
-		"repro_jobs_executed_total",
 		"repro_sessions",
 	} {
 		if !strings.Contains(metricsText, want) {

@@ -55,8 +55,9 @@ const (
 	// KindRepartition pushes one drift step of an instance through the
 	// incremental path.
 	KindRepartition Kind = "repartition"
-	// KindBurst fires several distinct partition queries concurrently —
-	// the batch scheduler's coalescing-and-draining exercise.
+	// KindBurst fires several partition queries at once: repeats of one
+	// instance coalesce, and misses on distinct instances run side by
+	// side, each in its own run slot.
 	KindBurst Kind = "burst"
 	// KindChurn pushes one topology-mutation step of an instance through
 	// the repartition path: vertices and edges appear and disappear, and
@@ -109,8 +110,8 @@ type Profile struct {
 
 	// NoCacheFraction marks roughly this fraction of partition operations
 	// no_cache (cache-bypass): each becomes real pipeline work instead of
-	// a hit, the knob that lets open-loop profiles outrun the admission
-	// queue and exercise shedding.
+	// a hit, the knob that lets open-loop profiles outrun the server's run
+	// slots and exercise shedding.
 	NoCacheFraction float64 `json:"no_cache_fraction,omitempty"`
 
 	// MultilevelFraction routes roughly this fraction of partition
@@ -151,7 +152,7 @@ type Profile struct {
 // `loadgen -quick` and the CI perf-trajectory profile behind
 // BENCH_service.json. Small enough to finish in a couple of seconds,
 // rich enough to exercise every endpoint, the cache, the coalescer, the
-// batch scheduler, and the certificate machinery.
+// run slots, and the certificate machinery.
 func Quick() Profile {
 	return Profile{
 		Name:         "quick",
@@ -181,10 +182,10 @@ func Quick() Profile {
 		// the quick profile certifies both pipelines and pins their cache-
 		// key separation on every CI run.
 		MultilevelFraction: 0.25,
-		// RepartitionConcurrency is raised above the client count so the
-		// quick profile never sheds on a single-core runner (shed behavior
-		// is Surge's job).
-		Service: service.Config{BatchWindow: -1, GraphStoreSize: 256, RepartitionConcurrency: 8},
+		// MaxRuns leaves room for every client's miss plus a burst's, so
+		// the quick profile does not shed even on a single-core runner
+		// (shed behavior is Surge's job).
+		Service: service.Config{GraphStoreSize: 256, MaxRuns: 8},
 	}
 }
 
@@ -204,9 +205,9 @@ func Soak() Profile {
 }
 
 // Surge is the open-loop overload profile: Poisson arrivals faster than
-// the pipeline can absorb, against a deliberately tiny admission queue
-// and repartition semaphore, so shedding behavior (503 at admission,
-// never an unbounded backlog) is observable in the report. Bigger meshes
+// the pipeline can absorb, against a single run slot shared by partition
+// and repartition misses, so shedding behavior (503 at admission, never
+// an unbounded backlog) is observable in the report. Bigger meshes
 // and a drained cache (NoCacheFraction-free misses via many distinct
 // drift keys) keep real pipeline work in flight.
 func Surge() Profile {
@@ -216,10 +217,9 @@ func Surge() Profile {
 	p.Requests = 400
 	// Retuned when the stage-pipeline PR's traversal rework sped the
 	// pipeline hot paths up ~3×: bigger instances (work per op must
-	// outrun the single-slot repartition semaphore and the depth-4
-	// queue even on a fast machine) and a rate beyond what the open
-	// loop can dispatch, or the overload this profile exists to
-	// observe never materializes.
+	// outrun the single run slot even on a fast machine) and a rate
+	// beyond what the open loop can dispatch, or the overload this
+	// profile exists to observe never materializes.
 	p.RatePerSec = 16000
 	p.Clients = 0
 	p.MeshRows, p.MeshCols = 32, 32
@@ -231,7 +231,7 @@ func Surge() Profile {
 	// step-0 prior), the widest warm-start gap of the profiles; 1.8
 	// matches the bound the library-level drift property test pins.
 	p.ScratchTol = 1.8
-	p.Service = service.Config{BatchWindow: -1, GraphStoreSize: 512, QueueDepth: 4, RepartitionConcurrency: 1, MaxBatch: 2}
+	p.Service = service.Config{GraphStoreSize: 512, MaxRuns: 1}
 	return p
 }
 

@@ -52,7 +52,15 @@ import (
 // distributions GET /metrics exposes in full). All /3 fields are
 // retained with unchanged meaning, so a /3 consumer that ignores unknown
 // fields reads a /4 report correctly.
-const ReportSchema = "repro-loadgen/4"
+//
+// Compatibility note — repro-loadgen/5 (vs /4): the embedded server
+// snapshot lost "batches_drained", "jobs_executed" and "jobs_dropped",
+// the batch scheduler's counters, which went with the scheduler (the
+// server now runs each cache miss in its flight leader, under one bound
+// on concurrent runs). Every other /4 field is retained with unchanged
+// meaning, so a /4 consumer that does not read those three reads a /5
+// report correctly.
+const ReportSchema = "repro-loadgen/5"
 
 // LatencySummary is a percentile digest of successful-request latencies.
 type LatencySummary struct {

@@ -80,7 +80,7 @@ func RunKillRestart(p Profile, dir string) (*KillRestartReport, error) {
 		}
 	}
 
-	// SIGKILL: scheduler down, op-log buffer dropped on the floor.
+	// SIGKILL: server closed to new runs, op-log buffer dropped on the floor.
 	srv1.Close()
 	st1.Abandon()
 

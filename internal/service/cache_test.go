@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -145,5 +146,59 @@ func TestFlightGroupKeyIsolation(t *testing.T) {
 	_, _, c3 := g.do(context.Background(), "a", func(context.Context) (repro.Result, error) { return repro.Result{}, nil })
 	if c3 {
 		t.Fatal("completed key should start a fresh call")
+	}
+}
+
+// TestFlightPanicReleasesKey: a run that panics must not strand its key.
+// The panic reaches the leader's caller (net/http recovers handler
+// panics), a follower waiting on the run gets errRunPanicked, and the
+// next call on the key runs fn afresh.
+func TestFlightPanicReleasesKey(t *testing.T) {
+	g := newFlightGroup()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		g.do(context.Background(), "k", func(context.Context) (repro.Result, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	// A stranded key would hold the calls below until this deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	followerErr := make(chan error, 1)
+	go func() {
+		_, err, _ := g.do(ctx, "k", func(context.Context) (repro.Result, error) {
+			t.Error("follower executed fn despite a leader in flight")
+			return repro.Result{}, nil
+		})
+		followerErr <- err
+	}()
+	g.mu.Lock()
+	c := g.calls["k"]
+	g.mu.Unlock()
+	for c.waiters.Load() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("leader recovered %v, want the run's panic", r)
+	}
+	if err := <-followerErr; !errors.Is(err, errRunPanicked) {
+		t.Fatalf("follower err = %v, want errRunPanicked", err)
+	}
+
+	ran := false
+	_, err, coalesced := g.do(ctx, "k", func(context.Context) (repro.Result, error) {
+		ran = true
+		return repro.Result{}, nil
+	})
+	if err != nil || coalesced || !ran {
+		t.Fatalf("call after the panic: err=%v coalesced=%t ran=%t, want a fresh run", err, coalesced, ran)
 	}
 }

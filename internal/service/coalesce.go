@@ -116,20 +116,30 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 		return repro.Result{}, err, false
 	}
 	execCtx, cancel := context.WithCancel(context.Background())
-	c := &flightCall{done: make(chan struct{}), cancel: cancel}
+	// c.err starts as errRunPanicked and fn's return overwrites it, so if fn
+	// panics the followers answer 500 while the panic propagates to the
+	// leader's caller. The deferred release runs on every path: a key whose
+	// run panicked runs again on its next request instead of stranding
+	// every later caller on a done channel nobody closes.
+	c := &flightCall{done: make(chan struct{}), cancel: cancel, err: errRunPanicked}
 	c.join(ctx)
 	g.calls[key] = c
 	g.mu.Unlock()
+	defer func() {
+		cancel() // release the membership watchers; the run is over either way
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.res, c.err = fn(execCtx)
-	cancel() // release the membership watchers; the run is over either way
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.res, c.err, false
 }
+
+// errRunPanicked is what the followers of a flight whose run panicked
+// receive (a 500); the leader's goroutine carries the panic itself.
+var errRunPanicked = errors.New("service: pipeline run panicked")
 
 // coalescedCount returns how many calls were served by another caller's
 // execution.

@@ -165,15 +165,6 @@ func (m *serverMetrics) registerServerFuncs(s *Server) {
 	counter("repro_pipeline_runs_total", "Completed pipeline executions (full or resumed).", func() float64 {
 		return float64(atomic.LoadInt64(&s.pipelineRuns))
 	})
-	counter("repro_batches_drained_total", "Batch executions by the admission scheduler.", func() float64 {
-		return float64(atomic.LoadInt64(&s.sched.batches))
-	})
-	counter("repro_jobs_executed_total", "Jobs executed by the admission scheduler.", func() float64 {
-		return float64(atomic.LoadInt64(&s.sched.jobsExecuted))
-	})
-	counter("repro_jobs_dropped_total", "Admitted jobs dropped because their context was already cancelled.", func() float64 {
-		return float64(atomic.LoadInt64(&s.sched.jobsDropped))
-	})
 	counter("repro_requests_served_total", "Requests that reached a work handler.", func() float64 {
 		return float64(atomic.LoadInt64(&s.requestsServed))
 	})

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/workload"
@@ -190,16 +189,14 @@ func TestStageMetricsCoverTheStageNameSet(t *testing.T) {
 	}
 }
 
-// TestGroupedBatchReportsThroughObserver runs one scheduler group of
-// multilevel jobs through Engine.Batch and requires the Observer-fed
-// metrics to count it like any lone run: repro_oracle_calls_total equals
-// the responses' summed splitter_calls, every job records a multilevel
-// stage, and polish rounds are counted.
-func TestGroupedBatchReportsThroughObserver(t *testing.T) {
+// TestConcurrentMultilevelMissesReportThroughObserver sends four
+// distinct multilevel misses at once, each in its own run slot, and
+// requires the Observer-fed metrics to count every run:
+// repro_oracle_calls_total equals the responses' summed splitter_calls,
+// every run records a multilevel stage, and polish rounds are counted.
+func TestConcurrentMultilevelMissesReportThroughObserver(t *testing.T) {
 	const group = 4
-	// MaxBatch equal to the group size closes the drain the moment the
-	// last job is admitted; the long window only bounds a lost request.
-	srv, ts := newTestServer(t, Config{MaxBatch: group, BatchWindow: time.Minute})
+	srv, ts := newTestServer(t, Config{MaxRuns: group})
 	reqs := make([][]byte, group)
 	for i := range reqs {
 		up := uploadGraph(t, ts.URL, workload.ClimateMesh(24, 24, 3, int64(i+1)))
@@ -240,8 +237,8 @@ func TestGroupedBatchReportsThroughObserver(t *testing.T) {
 		want += resps[i].Diag.SplitterCalls
 	}
 	st := srv.Stats()
-	if st.BatchesDrained != 1 || st.JobsExecuted != group {
-		t.Fatalf("premise: %d batches for %d jobs, want one group of %d", st.BatchesDrained, st.JobsExecuted, group)
+	if st.PipelineRuns != group {
+		t.Fatalf("premise: %d pipeline runs, want %d", st.PipelineRuns, group)
 	}
 	if want == 0 {
 		t.Fatal("premise: the group made no oracle calls")
@@ -288,8 +285,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		}
 	}
 	want := []string{
-		"# HELP repro_batches_drained_total Batch executions by the admission scheduler.",
-		"# TYPE repro_batches_drained_total counter",
 		"# HELP repro_busy_seconds_total Summed work-handler occupancy in seconds.",
 		"# TYPE repro_busy_seconds_total counter",
 		"# HELP repro_cache_entries Result-cache resident entries.",
@@ -304,10 +299,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"# TYPE repro_coalesced_total counter",
 		"# HELP repro_graphs_stored Resident uploaded or derived instances.",
 		"# TYPE repro_graphs_stored gauge",
-		"# HELP repro_jobs_dropped_total Admitted jobs dropped because their context was already cancelled.",
-		"# TYPE repro_jobs_dropped_total counter",
-		"# HELP repro_jobs_executed_total Jobs executed by the admission scheduler.",
-		"# TYPE repro_jobs_executed_total counter",
 		"# HELP repro_multilevel_level_duration_seconds Multilevel per-level solve/refine wall time, by hierarchy level (0 = finest).",
 		"# TYPE repro_multilevel_level_duration_seconds histogram",
 		"# HELP repro_oracle_calls_total Splitting-oracle invocations across all pipeline runs.",

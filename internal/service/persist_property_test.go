@@ -154,13 +154,13 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			// Server A: uninterrupted, with its own store.
 			stA := openStore(t, t.TempDir(), store.FsyncAlways)
 			defer stA.Close()
-			sA := New(Config{Store: stA, BatchWindow: -1})
+			sA := New(Config{Store: stA})
 			defer sA.Close()
 
 			// Server B: killed after `cut`, restarted from durable state.
 			dirB := t.TempDir()
 			stB := openStore(t, dirB, store.FsyncAlways)
-			sB := New(Config{Store: stB, BatchWindow: -1})
+			sB := New(Config{Store: stB})
 
 			idA := uploadInProcess(t, sA, g0)
 			idB := uploadInProcess(t, sB, g0)
@@ -188,7 +188,7 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 					sB.Close()
 					stB.Abandon()
 					stB = openStore(t, dirB, store.FsyncAlways)
-					sB = New(Config{Store: stB, BatchWindow: -1})
+					sB = New(Config{Store: stB})
 				}
 			}
 			sB.Close()

@@ -150,7 +150,7 @@ func assertWarm(t *testing.T, s2 *Server, id, driftID, churnID string) {
 func TestPersistGracefulRestart(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir, store.FsyncBatch)
-	s1 := New(Config{Store: st1, BatchWindow: -1})
+	s1 := New(Config{Store: st1})
 	id, driftID, churnID := driveSession(t, s1)
 	s1.Close()
 	if err := st1.Close(); err != nil {
@@ -162,7 +162,7 @@ func TestPersistGracefulRestart(t *testing.T) {
 	if !st2.Recovery().CleanShutdown {
 		t.Error("graceful close must leave a sealed log")
 	}
-	s2 := New(Config{Store: st2, BatchWindow: -1})
+	s2 := New(Config{Store: st2})
 	defer s2.Close()
 	assertWarm(t, s2, id, driftID, churnID)
 }
@@ -170,7 +170,7 @@ func TestPersistGracefulRestart(t *testing.T) {
 func TestPersistCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir, store.FsyncAlways)
-	s1 := New(Config{Store: st1, BatchWindow: -1})
+	s1 := New(Config{Store: st1})
 	id, driftID, churnID := driveSession(t, s1)
 	s1.Close()
 	st1.Abandon() // SIGKILL: no seal, no shutdown snapshot
@@ -184,7 +184,7 @@ func TestPersistCrashRecovery(t *testing.T) {
 	if ri.Replayed == 0 {
 		t.Errorf("recovery = %+v, want a replayed log tail", ri)
 	}
-	s2 := New(Config{Store: st2, BatchWindow: -1})
+	s2 := New(Config{Store: st2})
 	defer s2.Close()
 	assertWarm(t, s2, id, driftID, churnID)
 	// Crash recovery snapshots immediately, so a second crash before any
@@ -200,7 +200,7 @@ func TestPersistStatsWire(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, store.FsyncBatch)
 	defer st.Close()
-	s := New(Config{Store: st, BatchWindow: -1})
+	s := New(Config{Store: st})
 	defer s.Close()
 	driveSession(t, s)
 
@@ -225,7 +225,7 @@ func TestPersistStatsWire(t *testing.T) {
 // TestPersistOffIsUnchanged: without a Store every hook is a no-op and
 // the stats fields stay zero — the default serving path is untouched.
 func TestPersistOffIsUnchanged(t *testing.T) {
-	s := New(Config{BatchWindow: -1})
+	s := New(Config{})
 	defer s.Close()
 	driveSession(t, s)
 	st := s.Stats()

@@ -9,8 +9,8 @@
 //     the canonical content hash becomes its id.
 //   - POST /v1/partition  — decompose an instance. Results are cached in
 //     an LRU keyed by graph-hash × options; concurrent identical misses
-//     are coalesced into one pipeline run; distinct misses are
-//     admission-queued and drained batch-wise onto Engine.Batch.
+//     are coalesced into one pipeline run, which the flight leader
+//     executes in one of Config.MaxRuns run slots.
 //   - POST /v1/repartition — incremental path: a delta against a stored
 //     instance — vertex weights, topology mutations (vertices and edges
 //     appearing and disappearing), or both — goes through one handler
@@ -28,8 +28,8 @@
 //     pipeline is deterministic, so it cannot change a result).
 //  2. Per key, at most one pipeline run is ever in flight (coalescing),
 //     and a completed run is reused until evicted (LRU).
-//  3. Overload sheds at admission: a full queue is 503, never an
-//     unbounded backlog.
+//  3. Overload sheds at admission: a miss that finds every run slot
+//     taken is 503, never an unbounded backlog.
 //  4. A cache entry holds *a* certified strictly balanced coloring for
 //     its key: the incremental path populates entries with warm-started
 //     (prior-dependent) results so drift chains stay cache hits. The
@@ -71,22 +71,13 @@ type Config struct {
 	CacheSize int
 	// GraphStoreSize is the uploaded-instance capacity (default 64).
 	GraphStoreSize int
-	// MaxBatch bounds how many queued jobs one scheduler drain hands to
-	// Engine.Batch (default 32).
-	MaxBatch int
-	// BatchWindow is how long the scheduler gathers companions for an
-	// admitted job before executing (default 2ms; negative means drain
-	// whatever is already queued without waiting).
-	BatchWindow time.Duration
-	// QueueDepth is the admission-queue capacity (default 256).
-	QueueDepth int
 	// Parallelism is the worker-pool bound for pipeline execution
 	// (0 = GOMAXPROCS, per the core.Options contract).
 	Parallelism int
-	// RepartitionConcurrency bounds how many incremental repartition
-	// pipelines may execute at once (they run in the handler, not behind
-	// the batch queue). Default: GOMAXPROCS.
-	RepartitionConcurrency int
+	// MaxRuns bounds how many pipeline runs, partition and repartition
+	// alike, execute at once; a cache miss that finds all of them busy is
+	// answered 503 instead of waiting. Default: GOMAXPROCS.
+	MaxRuns int
 	// MaxGraphBytes caps upload and inline graph payloads (default 64 MiB).
 	MaxGraphBytes int64
 	// MaxK rejects absurd part counts at the wire (default 65536).
@@ -106,9 +97,9 @@ type Config struct {
 	Clock func() time.Time
 	// Observer, when non-nil, receives pipeline progress callbacks (stage
 	// enter/leave, oracle calls, polish rounds) from every run the server
-	// executes, grouped batch jobs included — the hook the cancellation
-	// acceptance tests and metrics exporters attach to. Must be cheap and
-	// concurrency-safe; see repro.Observer.
+	// executes — the hook the cancellation acceptance tests and metrics
+	// exporters attach to. Must be cheap and concurrency-safe; see
+	// repro.Observer.
 	Observer repro.Observer
 	// Store, when non-nil, is the durability subsystem (DESIGN.md §11):
 	// uploads, partition results and repartition deltas are appended to
@@ -128,17 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.GraphStoreSize == 0 {
 		c.GraphStoreSize = 64
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-	}
-	if c.RepartitionConcurrency == 0 {
-		c.RepartitionConcurrency = runtime.GOMAXPROCS(0)
+	if c.MaxRuns == 0 {
+		c.MaxRuns = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxGraphBytes == 0 {
 		c.MaxGraphBytes = 64 << 20
@@ -153,7 +135,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server serves decompositions over HTTP. Construct with New, expose via
-// Handler, and Close when done (stops the batch scheduler).
+// Handler, and Close when done (refuses further pipeline runs).
 type Server struct {
 	cfg     Config
 	eng     *repro.Engine
@@ -161,7 +143,6 @@ type Server struct {
 	mux     *http.ServeMux
 	cache   *lru[repro.Result]
 	flight  *flightGroup
-	sched   *scheduler
 
 	// graphs holds the uploaded and derived instances, each with the
 	// topology half of its content hash, so a repartition derives its
@@ -178,11 +159,11 @@ type Server struct {
 	// the uploaded-instance knob is the one that bounds graph memory.
 	sessions *lru[*repro.Instance]
 
-	// repartSem bounds concurrent repartition pipeline executions — the
-	// incremental path runs in the handler (it resumes from a session
-	// prior, so it cannot ride the batch scheduler), and invariant 3
-	// (shed at admission) must hold for it too.
-	repartSem chan struct{}
+	// runs holds one token per executing pipeline run (Config.MaxRuns):
+	// a flight leader takes one without blocking or sheds (invariant 3).
+	// closed makes every later miss a 503; Close then holds all tokens.
+	runs   chan struct{}
+	closed atomic.Bool
 
 	pipelineRuns int64
 
@@ -214,16 +195,15 @@ func New(cfg Config) *Server {
 		repro.WithObserver(&metricsObserver{m: m, inner: cfg.Observer}),
 	)
 	s := &Server{
-		cfg:       cfg,
-		eng:       eng,
-		metrics:   m,
-		mux:       http.NewServeMux(),
-		cache:     newLRU[repro.Result](cfg.CacheSize),
-		flight:    newFlightGroup(),
-		sched:     newScheduler(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, eng),
-		graphs:    newLRU[storedGraph](cfg.GraphStoreSize),
-		sessions:  newLRU[*repro.Instance](cfg.GraphStoreSize),
-		repartSem: make(chan struct{}, cfg.RepartitionConcurrency),
+		cfg:      cfg,
+		eng:      eng,
+		metrics:  m,
+		mux:      http.NewServeMux(),
+		cache:    newLRU[repro.Result](cfg.CacheSize),
+		flight:   newFlightGroup(),
+		graphs:   newLRU[storedGraph](cfg.GraphStoreSize),
+		sessions: newLRU[*repro.Instance](cfg.GraphStoreSize),
+		runs:     make(chan struct{}, cfg.MaxRuns),
 	}
 	if cfg.Store != nil {
 		// Synchronous warm-up: by the time New returns, every recovered
@@ -283,9 +263,45 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the batch scheduler; in-flight requests finish, queued ones
-// fail with 503.
-func (s *Server) Close() { s.sched.close() }
+// errQueueFull sheds a cache miss that finds every run slot busy, and
+// errShuttingDown refuses one after Close; the HTTP layer answers both 503.
+var (
+	errQueueFull    = errors.New("service: every run slot is busy")
+	errShuttingDown = errors.New("service: server shutting down")
+)
+
+// admit takes a run slot for a flight leader without blocking. The caller
+// runs its pipeline and then calls release.
+func (s *Server) admit() (release func(), err error) {
+	select {
+	case s.runs <- struct{}{}:
+	default:
+		if s.closed.Load() {
+			return nil, errShuttingDown
+		}
+		return nil, errQueueFull
+	}
+	release = func() { <-s.runs }
+	if s.closed.Load() {
+		// Close is waiting for this slot: give it back.
+		release()
+		return nil, errShuttingDown
+	}
+	return release, nil
+}
+
+// Close makes every later cache miss answer 503 and returns once the runs
+// already admitted have finished; cache hits are still served. Calling it
+// again is a no-op.
+func (s *Server) Close() {
+	if s.closed.Swap(true) {
+		return
+	}
+	// Taking every slot waits for the admitted runs to release theirs.
+	for range cap(s.runs) {
+		s.runs <- struct{}{}
+	}
+}
 
 // httpError is an error with a dedicated HTTP status.
 type httpError struct {
@@ -468,8 +484,8 @@ func (s *Server) requestOptions(k int, p float64, ml *MultilevelWire) (repro.Opt
 }
 
 // partition serves one (graph, options) query through the cache →
-// coalesce → batch-schedule path under the request's context. It returns
-// the result plus how it was obtained.
+// coalesce → run-slot path under the request's context. It returns the
+// result plus how it was obtained.
 func (s *Server) partition(ctx context.Context, g *graph.Graph, id string, opt repro.Options, noCache bool) (repro.Result, bool, bool, error) {
 	key := requestKey(id, opt)
 	if !noCache {
@@ -478,21 +494,22 @@ func (s *Server) partition(ctx context.Context, g *graph.Graph, id string, opt r
 		}
 	}
 	res, err, coalesced := s.flight.do(ctx, key, func(execCtx context.Context) (repro.Result, error) {
-		// The job runs under the flight's execution context: it dies only
-		// when every coalesced participant has gone, so one disconnecting
-		// client never aborts a run others still wait on.
-		j := &job{ctx: execCtx, g: g, opt: opt, done: make(chan struct{})}
-		if err := s.sched.submit(j); err != nil {
+		release, err := s.admit()
+		if err != nil {
 			return repro.Result{}, err
 		}
-		<-j.done
-		if j.err != nil {
+		defer release()
+		// The run executes under the flight's context: it dies only when
+		// every coalesced participant has gone, so one disconnecting client
+		// never aborts a run others still wait on.
+		res, err := s.eng.PartitionWithOptions(execCtx, g, opt)
+		if err != nil {
 			// A cancelled run never reaches the cache (invariant 5).
-			return repro.Result{}, j.err
+			return repro.Result{}, err
 		}
-		s.commitRun(key, j.res)
-		s.persistResult(id, opt, j.res)
-		return j.res, nil
+		s.commitRun(key, res)
+		s.persistResult(id, opt, res)
+		return res, nil
 	})
 	return res, false, coalesced, err
 }
@@ -695,20 +712,16 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	res, cached := s.cache.get(key)
 	if !cached {
 		res, err, _ = s.flight.do(ctx, key, func(execCtx context.Context) (repro.Result, error) {
-			// Shed at admission, like the partition path's queue: bound
-			// how many incremental pipelines run at once.
-			select {
-			case s.repartSem <- struct{}{}:
-				defer func() { <-s.repartSem }()
-			default:
-				return repro.Result{}, errQueueFull
+			release, err := s.admit()
+			if err != nil {
+				return repro.Result{}, err
 			}
+			defer release()
 			// runPrior is the coloring the run resumes from: the durable
 			// record carries the migration entry the instance itself
 			// appends, which is measured against it.
 			runPrior, runDelta := prior, d
 			var inst *repro.Instance
-			var err error
 			if ap.Topo == nil {
 				if inst, err = s.session(baseKey, base.g, opt); err != nil {
 					return repro.Result{}, err
@@ -798,9 +811,6 @@ func (s *Server) Stats() StatsResponse {
 		Sessions:          s.sessions.len(),
 		Coalesced:         s.flight.coalescedCount(),
 		PipelineRuns:      atomic.LoadInt64(&s.pipelineRuns),
-		BatchesDrained:    atomic.LoadInt64(&s.sched.batches),
-		JobsExecuted:      atomic.LoadInt64(&s.sched.jobsExecuted),
-		JobsDropped:       atomic.LoadInt64(&s.sched.jobsDropped),
 		RequestsServed:    atomic.LoadInt64(&s.requestsServed),
 		RequestsShed:      atomic.LoadInt64(&s.requestsShed),
 		RequestsCancelled: atomic.LoadInt64(&s.requestsCancelled),

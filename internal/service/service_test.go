@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -439,8 +442,8 @@ func TestStatsShape(t *testing.T) {
 	up := uploadGraph(t, ts.URL, g)
 	postJSON(t, ts.URL+"/v1/partition", PartitionRequest{GraphID: up.GraphID, K: 4}, &PartitionResponse{})
 	st := serverStats(t, ts.URL)
-	if st.PipelineRuns != 1 || st.JobsExecuted != 1 || st.BatchesDrained != 1 {
-		t.Fatalf("stats = %+v, want exactly one run/job/batch", st)
+	if st.PipelineRuns != 1 {
+		t.Fatalf("stats = %+v, want exactly one run", st)
 	}
 	if st.CacheMisses == 0 {
 		t.Fatal("first request did not register a cache miss")
@@ -458,7 +461,7 @@ func TestStatsRequestAccounting(t *testing.T) {
 	clock := func() time.Time {
 		return time.Unix(0, now.Add(1_000_000)) // +1ms per observation
 	}
-	s, ts := newTestServer(t, Config{Clock: clock, BatchWindow: -1})
+	s, ts := newTestServer(t, Config{Clock: clock})
 	g := workload.ClimateMesh(6, 6, 2, 4)
 	up := uploadGraph(t, ts.URL, g)
 	postJSON(t, ts.URL+"/v1/partition", PartitionRequest{GraphID: up.GraphID, K: 3}, &PartitionResponse{})
@@ -485,7 +488,7 @@ func TestStatsRequestAccounting(t *testing.T) {
 
 // A shed request (503 at admission) must show up in the shed counter.
 func TestStatsShedAccounting(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 1, MaxBatch: 1, BatchWindow: 50 * time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxRuns: 1})
 	gs := []*graph.Graph{
 		workload.ClimateMesh(10, 10, 2, 1),
 		workload.ClimateMesh(10, 10, 2, 2),
@@ -507,5 +510,148 @@ func TestStatsShedAccounting(t *testing.T) {
 	wg.Wait()
 	if got := s.Stats().RequestsShed; got != shed.Load() {
 		t.Fatalf("server counted %d shed requests, clients saw %d", got, shed.Load())
+	}
+}
+
+// gateObserver holds the first pipeline stage any run enters until
+// release is closed, keeping that run's slot taken.
+type gateObserver struct {
+	repro.NopObserver
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (o *gateObserver) StageEnter(repro.StageName) {
+	o.once.Do(func() {
+		close(o.entered)
+		<-o.release
+	})
+}
+
+// missBodies returns a partition and a repartition request against id
+// that miss the cache of a server which has only partitioned id at k=2.
+func missBodies(id string) map[string]string {
+	return map[string]string{
+		"/v1/partition":   fmt.Sprintf(`{"graph_id":%q,"k":3}`, id),
+		"/v1/repartition": fmt.Sprintf(`{"graph_id":%q,"k":2,"scale":[{"v":0,"w":2}]}`, id),
+	}
+}
+
+// With the one run slot held, a distinct partition miss and a repartition
+// miss are both shed with 503 and counted in requests_shed; once the run
+// finishes, both succeed.
+func TestRunSlotShedsPartitionAndRepartitionMisses(t *testing.T) {
+	obs := &gateObserver{entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{MaxRuns: 1, Observer: obs})
+	var released sync.Once
+	release := func() { released.Do(func() { close(obs.release) }) }
+	defer release() // a failed check must not leave the held run blocked
+	id := uploadInProcess(t, s, workload.ClimateMesh(8, 8, 2, 1))
+
+	held := make(chan int, 1)
+	go func() {
+		held <- do(s, http.MethodPost, "/v1/partition", fmt.Sprintf(`{"graph_id":%q,"k":2}`, id)).Code
+	}()
+	select {
+	case <-obs.entered:
+	case code := <-held:
+		t.Fatalf("held partition answered %d before its run entered a stage", code)
+	}
+
+	misses := missBodies(id)
+	for path, body := range misses {
+		rec := do(s, http.MethodPost, path, body)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), errQueueFull.Error()) {
+			t.Fatalf("%s with the slot held: %d %s, want 503 %q", path, rec.Code, rec.Body, errQueueFull)
+		}
+	}
+	if got := s.Stats().RequestsShed; got != 2 {
+		t.Fatalf("requests_shed = %d, want 2", got)
+	}
+
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held partition status %d", code)
+	}
+	for path, body := range misses {
+		if rec := do(s, http.MethodPost, path, body); rec.Code != http.StatusOK {
+			t.Fatalf("%s after release: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// After Close every cache miss, partition or repartition, answers 503
+// errShuttingDown, while a cached partition is still served.
+func TestCloseRefusesMisses(t *testing.T) {
+	s := New(Config{})
+	id := uploadInProcess(t, s, workload.ClimateMesh(8, 8, 2, 2))
+	cached := PartitionRequest{GraphID: id, K: 2}
+	if code := doJSON(t, s, "/v1/partition", cached, nil); code != http.StatusOK {
+		t.Fatalf("warm-up status %d", code)
+	}
+	s.Close()
+
+	var pr PartitionResponse
+	if code := doJSON(t, s, "/v1/partition", cached, &pr); code != http.StatusOK || !pr.Cached {
+		t.Fatalf("cached partition after Close: status %d cached=%t", code, pr.Cached)
+	}
+	for path, body := range missBodies(id) {
+		rec := do(s, http.MethodPost, path, body)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), errShuttingDown.Error()) {
+			t.Fatalf("%s miss after Close: %d %s, want 503 %q", path, rec.Code, rec.Body, errShuttingDown)
+		}
+	}
+}
+
+// A served partition is the coloring Engine.PartitionWithOptions computes
+// at Parallelism 1, whatever the server's worker pool.
+func TestServedColoringMatchesSequentialRun(t *testing.T) {
+	s := New(Config{Parallelism: 2})
+	g := workload.ClimateMesh(16, 16, 3, 5)
+	id := uploadInProcess(t, s, g)
+	var pr PartitionResponse
+	if code := doJSON(t, s, "/v1/partition", PartitionRequest{GraphID: id, K: 8, IncludeColoring: true}, &pr); code != http.StatusOK {
+		t.Fatalf("partition status %d", code)
+	}
+	solo, err := repro.NewEngine().PartitionWithOptions(context.Background(), g, repro.Options{K: 8, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pr.Coloring, solo.Coloring) {
+		t.Fatal("served coloring differs from the sequential run")
+	}
+}
+
+// panicOnceObserver panics in the first stage any run enters.
+type panicOnceObserver struct {
+	repro.NopObserver
+	fired atomic.Bool
+}
+
+func (o *panicOnceObserver) StageEnter(repro.StageName) {
+	if !o.fired.Swap(true) {
+		panic("observer panic")
+	}
+}
+
+// A run that panics on its handler's goroutine (where net/http recovers
+// it) gives back its run slot and its flight key: with one slot, the
+// identical retry runs and answers 200.
+func TestPanickingRunReleasesSlotAndKey(t *testing.T) {
+	// The timeout turns a retry stranded on a dead flight into a 504.
+	s := New(Config{MaxRuns: 1, Observer: &panicOnceObserver{}, RequestTimeout: 5 * time.Second})
+	id := uploadInProcess(t, s, workload.ClimateMesh(8, 8, 2, 3))
+	req := PartitionRequest{GraphID: id, K: 2}
+	func() {
+		defer func() {
+			if r := recover(); r != "observer panic" {
+				t.Fatalf("first run recovered %v, want the observer's panic", r)
+			}
+		}()
+		doJSON(t, s, "/v1/partition", req, nil)
+	}()
+	if code := doJSON(t, s, "/v1/partition", req, nil); code != http.StatusOK {
+		t.Fatalf("retry after the panic: status %d", code)
 	}
 }

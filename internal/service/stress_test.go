@@ -15,11 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Stress tests for the concurrent spine of the service — the batch
-// scheduler, the singleflight coalescer, and the LRU caches under
-// eviction churn — designed to run meaningfully under -race (CI races
-// ./internal/... on every push). Each test hammers one interleaving
-// family; none depends on timing for correctness, only for coverage.
+// Stress tests for the concurrent spine of the service — the run slots,
+// the singleflight coalescer, and the LRU caches under eviction churn —
+// designed to run meaningfully under -race (CI races ./internal/... on
+// every push). Each test hammers one interleaving family; none depends
+// on timing for correctness, only for coverage.
 
 // stressGraphs builds n tiny distinct instances.
 func stressGraphs(n int) []*graph.Graph {
@@ -31,11 +31,14 @@ func stressGraphs(n int) []*graph.Graph {
 }
 
 // Concurrent identical and distinct misses racing through the cache →
-// coalescer → scheduler path, with a cache small enough to evict
+// coalescer → run-slot path, with a cache small enough to evict
 // constantly: per serving invariant 2, distinct (graph, k) keys may each
 // run at most once per eviction, and every 200 must be strictly balanced.
 func TestStressCoalesceAndEvict(t *testing.T) {
-	s := New(Config{CacheSize: 2, BatchWindow: -1, QueueDepth: 1024})
+	const workers = 16
+	const perWorker = 25
+	// A slot per worker: every miss runs, none is shed.
+	s := New(Config{CacheSize: 2, MaxRuns: workers})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()
@@ -47,8 +50,6 @@ func TestStressCoalesceAndEvict(t *testing.T) {
 		ids[i] = s.storeGraph(g, nil)
 	}
 
-	const workers = 16
-	const perWorker = 25
 	var wg sync.WaitGroup
 	var badStatus, notBalanced int64
 	for w := 0; w < workers; w++ {
@@ -102,11 +103,12 @@ func TestStressCoalesceAndEvict(t *testing.T) {
 }
 
 // Shutdown while draining: requests keep arriving as Close runs. Every
-// in-flight request must complete with 200 or 503 — no hangs, no panics,
-// and Close must not return before the drain loop stops.
+// in-flight request must complete with 200 or 503 — no hangs, no panics —
+// and Close must not return before the admitted runs have finished, so no
+// run completes after it.
 func TestStressShutdownWhileDraining(t *testing.T) {
 	for round := 0; round < 4; round++ {
-		s := New(Config{BatchWindow: time.Millisecond, QueueDepth: 64})
+		s := New(Config{})
 		ts := httptest.NewServer(s.Handler())
 		gs := stressGraphs(6)
 		ids := make([]string, len(gs))
@@ -128,7 +130,7 @@ func TestStressShutdownWhileDraining(t *testing.T) {
 					resp, err := http.Post(ts.URL+"/v1/partition", "application/json", strBody(body))
 					if err != nil {
 						// The listener may already be gone; that's the
-						// harness, not the scheduler.
+						// harness, not the server.
 						continue
 					}
 					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
@@ -139,27 +141,27 @@ func TestStressShutdownWhileDraining(t *testing.T) {
 			}(w)
 		}
 		close(start)
-		// Let some requests get in flight, then yank the scheduler.
+		// Let some requests get in flight, then close the server.
 		time.Sleep(time.Duration(round) * time.Millisecond)
 		s.Close()
+		runs := s.Stats().PipelineRuns
 		wg.Wait()
 		ts.Close()
 		if unexpected != 0 {
 			t.Fatalf("round %d: %d responses were neither 200 nor 503", round, unexpected)
 		}
-		// After Close, submissions must be refused, not queued forever.
-		if err := s.sched.submit(&job{done: make(chan struct{})}); err == nil {
-			t.Fatal("submit succeeded after Close")
+		if got := s.Stats().PipelineRuns; got != runs {
+			t.Fatalf("round %d: %d runs completed after Close returned", round, got-runs)
 		}
 	}
 }
 
-// The repartition path races its semaphore, the graph store, the flight
+// The repartition path races the run slots, the graph store, the flight
 // group, and the base session's advance against sessions stored under
 // derived ids, all at once; concurrent identical and distinct weight and
 // topology deltas must never corrupt a served coloring.
 func TestStressRepartitionConcurrent(t *testing.T) {
-	s := New(Config{BatchWindow: -1, RepartitionConcurrency: 4, QueueDepth: 256})
+	s := New(Config{MaxRuns: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()

@@ -252,12 +252,6 @@ type StatsResponse struct {
 	// PipelineRuns counts completed pipeline executions (full or resumed);
 	// cache hits and coalesced waits do not increment it.
 	PipelineRuns int64 `json:"pipeline_runs"`
-	// BatchesDrained counts batch executions by the scheduler.
-	BatchesDrained int64 `json:"batches_drained"`
-	JobsExecuted   int64 `json:"jobs_executed"`
-	// JobsDropped counts admitted jobs never executed because their
-	// request context was already cancelled at drain time.
-	JobsDropped int64 `json:"jobs_dropped"`
 	// RequestsServed counts requests that reached a work handler (upload,
 	// partition, repartition); stats and healthz probes are excluded.
 	RequestsServed int64 `json:"requests_served"`

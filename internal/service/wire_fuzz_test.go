@@ -30,10 +30,7 @@ import (
 // cheap to hit.
 func fuzzServer(t *testing.T) *Server {
 	t.Helper()
-	s := New(Config{
-		MaxGraphBytes: 4 << 10,
-		BatchWindow:   -1,
-	})
+	s := New(Config{MaxGraphBytes: 4 << 10})
 	t.Cleanup(s.Close)
 	return s
 }
