@@ -30,11 +30,12 @@ var CtxCheckpoint = &Analyzer{
 // traversals a single call of which is one checkpoint-granularity unit
 // (DESIGN.md §8, §9).
 var longWorkNames = map[string]bool{
-	"Split":         true,
-	"BFSOrder":      true,
-	"MultiBFSOrder": true,
-	"Components":    true,
-	"InducedCopy":   true,
+	"Split":          true,
+	"BFSOrder":       true,
+	"MultiBFSOrder":  true,
+	"MultiBFSPrefix": true,
+	"Components":     true,
+	"InducedCopy":    true,
 	// The parallel-multilevel primitives (DESIGN.md §14): O(M) aggregation
 	// or ordering sweeps that take no context, so one call is one
 	// checkpoint-granularity unit at the call site.

@@ -49,7 +49,7 @@ func (c *ctx) cutDownClasses(classes [][]int32, w []float64, offsets []float64, 
 				break
 			}
 			xw := sumOver(w, X)
-			classes[i] = subtract(classes[i], X)
+			classes[i] = removeInPlace(classes[i], X)
 			cw -= xw
 			buffers[i] = append(buffers[i], chunk{X, xw})
 			if xw <= 0 && len(classes[i]) == 0 {
@@ -138,6 +138,7 @@ func (c *ctx) chunkedGreedy(chi []int32, k int) []int32 {
 				// Cancelled: stop chunking. The remaining vertices stay
 				// unassigned, which the entry point's final ctx check turns
 				// into ctx.Err() before CheckColoring could ever see it.
+				classes[i] = U
 				return classesToColoring(classes, c.g.N())
 			}
 			guard++
@@ -146,7 +147,7 @@ func (c *ctx) chunkedGreedy(chi []int32, k int) []int32 {
 				X = []int32{U[0]}
 			}
 			buffer = append(buffer, chunk{X, sumOver(w, X)})
-			U = subtract(U, X)
+			U = removeInPlace(U, X)
 		}
 		classes[i] = nil
 	}

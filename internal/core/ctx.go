@@ -218,15 +218,8 @@ func maxOf(m []float64) float64 {
 // order. The balance stages call it once per piece they move, so U is
 // held in pooled marks rather than a map.
 func subtract(X []int32, U []int32) []int32 {
-	n := 0
-	for _, v := range U {
-		n = max(n, int(v)+1)
-	}
-	m := graph.AcquireMarks(n)
+	m := marksOf(U)
 	defer m.Release()
-	for _, v := range U {
-		m.Mark(v)
-	}
 	out := make([]int32, 0, len(X)-len(U))
 	for _, v := range X {
 		if !m.Has(v) {
@@ -234,6 +227,39 @@ func subtract(X []int32, U []int32) []int32 {
 		}
 	}
 	return out
+}
+
+// removeInPlace deletes the vertices of X from the list U, keeping U's
+// order, and returns the shortened list. It compacts U's backing array,
+// so the caller must own U and X must not share it (oracle pieces never
+// do: see splitter.Splitter). The loops that cut piece after piece off a
+// list they own call it instead of subtract, so a piece costs one pass
+// over the list and no allocation.
+func removeInPlace(U, X []int32) []int32 {
+	m := marksOf(X)
+	defer m.Release()
+	n := 0
+	for _, v := range U {
+		if !m.Has(v) {
+			U[n] = v
+			n++
+		}
+	}
+	return U[:n]
+}
+
+// marksOf returns pooled marks holding the vertices of X. The caller
+// releases them.
+func marksOf(X []int32) graph.Marks {
+	n := 0
+	for _, v := range X {
+		n = max(n, int(v)+1)
+	}
+	m := graph.AcquireMarks(n)
+	for _, v := range X {
+		m.Mark(v)
+	}
+	return m
 }
 
 // classLists returns the vertex list of each color class of a (possibly

@@ -21,7 +21,7 @@ func (c *ctx) iterativePartition(U []int32, psi []float64, psiStar float64) [][]
 			break
 		}
 		parts = append(parts, Xi)
-		X = subtract(X, Xi)
+		X = removeInPlace(X, Xi)
 	}
 	if len(X) > 0 {
 		parts = append(parts, X)

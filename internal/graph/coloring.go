@@ -48,9 +48,24 @@ type ColoringStats struct {
 // Stats computes summary statistics for a coloring. All vertices must be
 // colored with values in [0, k).
 func Stats(g *Graph, coloring []int32, k int) ColoringStats {
+	st := weightStats(g, coloring, k)
+	st.ClassBoundary = g.ClassBoundaryCosts(coloring, k)
+	for _, b := range st.ClassBoundary {
+		if b > st.MaxBoundary {
+			st.MaxBoundary = b
+		}
+		st.AvgBoundary += b
+	}
+	st.AvgBoundary /= float64(k)
+	return st
+}
+
+// weightStats fills the weight half of ColoringStats: every field but
+// ClassBoundary, MaxBoundary and AvgBoundary. It reads the coloring and
+// the weights once, and no edge.
+func weightStats(g *Graph, coloring []int32, k int) ColoringStats {
 	st := ColoringStats{K: k}
 	st.ClassWeight = g.ClassWeights(coloring, k)
-	st.ClassBoundary = g.ClassBoundaryCosts(coloring, k)
 	st.AvgWeight = g.TotalWeight() / float64(k)
 	st.MinWeight = math.Inf(1)
 	for _, w := range st.ClassWeight {
@@ -64,13 +79,6 @@ func Stats(g *Graph, coloring []int32, k int) ColoringStats {
 			st.MaxWeightDeviation = d
 		}
 	}
-	for _, b := range st.ClassBoundary {
-		if b > st.MaxBoundary {
-			st.MaxBoundary = b
-		}
-		st.AvgBoundary += b
-	}
-	st.AvgBoundary /= float64(k)
 	st.StrictBound = (1 - 1/float64(k)) * g.MaxWeight()
 	tol := 1e-9 * (st.AvgWeight + g.MaxWeight() + 1)
 	st.StrictlyBalanced = st.MaxWeightDeviation <= st.StrictBound+tol
@@ -91,13 +99,13 @@ func CheckColoring(coloring []int32, k int) error {
 // IsStrictlyBalanced reports whether the coloring satisfies Definition 1:
 // max_i |w(χ⁻¹(i)) − ‖w‖₁/k| ≤ (1 − 1/k)·‖w‖∞ (with float tolerance).
 func IsStrictlyBalanced(g *Graph, coloring []int32, k int) bool {
-	return Stats(g, coloring, k).StrictlyBalanced
+	return weightStats(g, coloring, k).StrictlyBalanced
 }
 
 // IsAlmostStrictlyBalanced reports the Section 4 relaxation: every class
 // weight within 2·‖w‖∞ of the average (with float tolerance).
 func IsAlmostStrictlyBalanced(g *Graph, coloring []int32, k int) bool {
-	st := Stats(g, coloring, k)
+	st := weightStats(g, coloring, k)
 	tol := 1e-9 * (st.AvgWeight + g.MaxWeight() + 1)
 	return st.MaxWeightDeviation <= 2*g.MaxWeight()+tol
 }

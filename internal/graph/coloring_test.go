@@ -71,6 +71,76 @@ func TestAlmostStrictBalance(t *testing.T) {
 	}
 }
 
+// TestBalanceChecksMatchStats pins the two strictness checks, which read
+// only weights, to the verdicts of the full Stats: IsStrictlyBalanced must
+// equal Stats(...).StrictlyBalanced, and IsAlmostStrictlyBalanced must
+// equal the 2·‖w‖∞ window applied to Stats' deviation. The colorings are
+// random ones on random graphs, and colorings whose deviation sits on
+// either side of each bound by a fraction of the float tolerance.
+func TestBalanceChecksMatchStats(t *testing.T) {
+	check := func(name string, g *Graph, coloring []int32, k int) {
+		t.Helper()
+		st := Stats(g, coloring, k)
+		if got := IsStrictlyBalanced(g, coloring, k); got != st.StrictlyBalanced {
+			t.Fatalf("%s: IsStrictlyBalanced = %v, Stats says %v (deviation %v, bound %v)", name, got, st.StrictlyBalanced, st.MaxWeightDeviation, st.StrictBound)
+		}
+		tol := 1e-9 * (st.AvgWeight + g.MaxWeight() + 1)
+		want := st.MaxWeightDeviation <= 2*g.MaxWeight()+tol
+		if got := IsAlmostStrictlyBalanced(g, coloring, k); got != want {
+			t.Fatalf("%s: IsAlmostStrictlyBalanced = %v, Stats says %v (deviation %v, window %v)", name, got, want, st.MaxWeightDeviation, 2*g.MaxWeight())
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 200; trial++ {
+		n, k := 2+rng.Intn(40), 1+rng.Intn(6)
+		g := randomGraph(rng, n, n)
+		for v := range g.Weight {
+			g.Weight[v] = rng.Float64() * 4
+		}
+		coloring := make([]int32, n)
+		for v := range coloring {
+			coloring[v] = int32(rng.Intn(k))
+		}
+		check("random", g, coloring, k)
+		verdicts[IsStrictlyBalanced(g, coloring, k)]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("random colorings gave one verdict only: %v", verdicts)
+	}
+
+	// At the edge: three vertices in classes {0, 0, 1} deviate from the
+	// average by exactly the strict bound (1 − 1/2)·1 when all weigh 1, and
+	// six in classes {0, 0, 0, 0, 0, 1} by exactly the almost-strict window
+	// 2·1. Nudging one weight by ε moves the deviation across the tolerance
+	// (about 3e-9 and 5e-9 here) in either direction.
+	edge := map[[2]bool]int{}
+	for _, eps := range []float64{0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, 3e-9, 4e-9, 6e-9, 1e-8, -1e-8, -2e-8} {
+		for _, tc := range []struct {
+			coloring []int32
+			nudge    int
+		}{
+			{[]int32{0, 0, 1}, 0}, {[]int32{0, 0, 1}, 2},
+			{[]int32{0, 0, 0, 0, 0, 1}, 0}, {[]int32{0, 0, 0, 0, 0, 1}, 5},
+		} {
+			g := path(len(tc.coloring))
+			g.Weight[tc.nudge] += eps
+			check("edge", g, tc.coloring, 2)
+			if strictEdge := len(tc.coloring) == 3; strictEdge {
+				edge[[2]bool{strictEdge, IsStrictlyBalanced(g, tc.coloring, 2)}]++
+			} else {
+				edge[[2]bool{strictEdge, IsAlmostStrictlyBalanced(g, tc.coloring, 2)}]++
+			}
+		}
+	}
+	// Each check must have given both verdicts at its own edge.
+	for _, key := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+		if edge[key] == 0 {
+			t.Fatalf("edge colorings never gave %v (strict edge, verdict)", key)
+		}
+	}
+}
+
 func TestClassList(t *testing.T) {
 	coloring := []int32{1, 0, 1, Uncolored}
 	classes := ClassList(coloring, 2)

@@ -122,13 +122,16 @@ func min32(a, b int32) int32 {
 func (s *Sub) bfsFrom(mark, start int32, order []int32) []int32 {
 	head := len(order)
 	s.in.stamp[start] = mark
-	return s.bfsDrain(mark, append(order, start), head)
+	order, _ = s.bfsDrain(mark, append(order, start), head, nil)
+	return order
 }
 
 // bfsDrain runs the BFS whose FIFO queue is order[head:]: the output slice
 // doubles as the queue, since a vertex is enqueued exactly when it is
-// emitted, so the order is identical to a separate-queue BFS.
-func (s *Sub) bfsDrain(mark int32, order []int32, head int) []int32 {
+// emitted, so the order is identical to a separate-queue BFS. After each
+// vertex it appends it calls stop, when stop is non-nil, and returns at
+// once with true when stop does.
+func (s *Sub) bfsDrain(mark int32, order []int32, head int, stop func(int32) bool) ([]int32, bool) {
 	st, base := s.in.stamp, s.base
 	for head < len(order) {
 		v := order[head]
@@ -138,10 +141,13 @@ func (s *Sub) bfsDrain(mark int32, order []int32, head int) []int32 {
 			if x := st[o]; x >= base && x != mark {
 				st[o] = mark
 				order = append(order, o)
+				if stop != nil && stop(o) {
+					return order, true
+				}
 			}
 		}
 	}
-	return order
+	return order, false
 }
 
 // MultiBFSOrder returns vertices of G[W] in breadth-first order. First come
@@ -153,22 +159,49 @@ func (s *Sub) bfsDrain(mark int32, order []int32, head int) []int32 {
 // covers W exactly once. Deterministic for a fixed (W, sources, starts);
 // one output slice serves the whole traversal.
 func (s *Sub) MultiBFSOrder(sources, starts []int32) []int32 {
+	order, _ := s.MultiBFSPrefix(sources, starts, nil)
+	return order
+}
+
+// MultiBFSPrefix is MultiBFSOrder that may stop early: it calls stop on
+// every vertex right after appending it to the order and, once stop
+// reports true, returns the order so far, which ends at that vertex, and
+// true. A traversal that stop never ends returns MultiBFSOrder's order and
+// false; so does a nil stop. The order is a prefix of MultiBFSOrder's in
+// either case, and it costs time in proportion to the vertices it appends
+// and their degrees. A traversal that may stop early grows its output as
+// it goes; one that cannot allocates |W| slots up front.
+func (s *Sub) MultiBFSPrefix(sources, starts []int32, stop func(int32) bool) ([]int32, bool) {
 	mark := s.nextMark()
 	st := s.in.stamp
-	order := make([]int32, 0, len(s.Verts))
+	var order []int32
+	if stop == nil {
+		order = make([]int32, 0, len(s.Verts))
+	}
 	for _, v := range sources {
 		if st[v] != mark {
 			st[v] = mark
 			order = append(order, v)
+			if stop != nil && stop(v) {
+				return order, true
+			}
 		}
 	}
-	order = s.bfsDrain(mark, order, 0)
-	for _, v := range starts {
-		if st[v] != mark {
-			order = s.bfsFrom(mark, v, order)
+	order, stopped := s.bfsDrain(mark, order, 0, stop)
+	for i := 0; i < len(starts) && !stopped; i++ {
+		v := starts[i]
+		if st[v] == mark {
+			continue
 		}
+		st[v] = mark
+		head := len(order)
+		order = append(order, v)
+		if stop != nil && stop(v) {
+			return order, true
+		}
+		order, stopped = s.bfsDrain(mark, order, head, stop)
 	}
-	return order
+	return order, stopped
 }
 
 // Components returns the connected components of G[W] as vertex lists.

@@ -24,7 +24,8 @@ type Refined struct {
 	// Passes bounds the number of full improvement passes (default 4).
 	Passes int
 	// Par bounds the worker goroutines of the initial gain fill, the one
-	// O(|W|·deg) sweep of a call; 0 or 1 fills sequentially. The pieces
+	// O(|W|·deg) sweep of a call; 0 or 1 fills sequentially, as does the
+	// fill around a small U (fmSmallU) at any Par. The pieces
 	// are bit-identical at every setting: each worker writes the gains of
 	// its own range of W, and the moves that follow are sequential
 	// (DESIGN.md §14). The core pipeline sets this to the run's resolved
@@ -65,6 +66,11 @@ const fmParCutoff = 1 << 14
 
 // fmFloor is the least gain a move must strictly exceed to be admissible.
 const fmFloor = 1e-12
+
+// fmSmallU sets when the initial gain fill covers only U and its
+// neighbours in W: when fmSmallU·|U| < |W| (fillGainsNearU). Measured with
+// BenchmarkRefineFillSmallU (EXPERIMENTS.md).
+const fmSmallU = 4
 
 // refine greedily applies improving moves. A move flips one vertex of W
 // between U and W\U. It is admissible if it strictly decreases the cut cost
@@ -138,7 +144,11 @@ func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, targ
 		return d <= window
 	}
 	gains, flags := fs.gain, fs.flags
-	fillGains(W, gains, gain, par)
+	if fmSmallU*len(U) < len(W) {
+		fillGainsNearU(g, fs, U, gains, gain)
+	} else {
+		fillGains(W, gains, gain, par)
+	}
 
 	for pass := 0; pass < passes; pass++ {
 		improved := false
@@ -210,6 +220,30 @@ func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, targ
 		}
 	}
 	return out
+}
+
+// fillGainsNearU is the initial gain fill of a U that is small against W.
+// It evaluates gain only at the vertices of U and their neighbours in W,
+// and stores 0 at every other position. There the true gain is the
+// negated cost of the vertex's edges in G[W], so ≤ 0 ≤ fmFloor (costs are
+// never negative), and it stays so until the vertex or a neighbour flips,
+// which recomputes it. A stored 0 and the true gain thus both keep the
+// vertex off every candidate list, and the moves are those of a full
+// fill. Vertices of U outside W, which the oracle contract rules out, get
+// no gain, as in a full fill.
+func fillGainsNearU(g *graph.Graph, fs *fmScratch, U []int32, gains []float64, gain func(int32) float64) {
+	clear(gains)
+	for _, u := range U {
+		if !fs.inW(u) {
+			continue
+		}
+		gains[fs.pos[u]] = gain(u)
+		for _, e := range g.IncidentEdges(u) {
+			if o := g.Other(e, u); fs.inW(o) && !fs.inU(o) {
+				gains[fs.pos[o]] = gain(o)
+			}
+		}
+	}
 }
 
 // fillGains writes gain(W[i]) into gains[i] for every position of W: the

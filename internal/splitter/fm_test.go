@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -107,8 +108,9 @@ func refineReference(ctx context.Context, g *graph.Graph, W, U []int32, w []floa
 // byte the reference's. The inputs cover the tie rule (unit costs, where
 // gains tie everywhere, with W in id and in shuffled order), a weighted
 // mesh, a disconnected W, zero weights, targets clamped from either side,
-// and a W above fmParCutoff, where the initial gain fill fans out. Every
-// input makes the reference move, so none of them agrees trivially.
+// a W above fmParCutoff, where the initial gain fill fans out, and U below
+// |W|/fmSmallU, where it covers only U and its neighbours. Every input
+// makes the reference move, so none of them agrees trivially.
 func TestRefinedParMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	unit := grid.MustBox(40, 30).G
@@ -151,7 +153,7 @@ func TestRefinedParMatchesSequential(t *testing.T) {
 			heavy = append(heavy, v)
 		}
 	}
-	spread, half := scattered(ids, 0.3), scattered(ids, 0.5)
+	spread, half, sparseU := scattered(ids, 0.3), scattered(ids, 0.5), scattered(ids, 0.05)
 	holeW := randWeights(rng, sparse.G.N())
 	evens := make([]int32, 0, n/2)
 	for v := int32(0); v < int32(n); v += 2 {
@@ -181,12 +183,19 @@ func TestRefinedParMatchesSequential(t *testing.T) {
 		{"target below 0", unit, shuffled, light, unitW, -100},
 		{"target above w(W)", unit, shuffled, heavy, unitW, 2 * weightOf(ids, unitW)},
 		{"above fmParCutoff", big, allVerts(big.N()), nil, big.Weight, big.TotalWeight() / 3},
+		{"small U, climate mesh", mesh, allVerts(mesh.N()), nil, mesh.Weight, mesh.TotalWeight() / 20},
+		{"small U, scattered", unit, shuffled, sparseU, unitW, weightOf(sparseU, unitW)},
+		{"small U, disconnected W", sparse.G, holes, nil, holeW, 0.05 * weightOf(holes, holeW)},
+		{"small U, above fmParCutoff", big, allVerts(big.N()), nil, big.Weight, big.TotalWeight() / 12},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			U := tc.U
 			if U == nil {
 				U = NewBFS(tc.g).Split(context.Background(), tc.W, tc.w, tc.target)
+			}
+			if strings.HasPrefix(tc.name, "small U") && fmSmallU*len(U) >= len(tc.W) {
+				t.Fatalf("|U| = %d is not small against |W| = %d: the case misses the fill around U", len(U), len(tc.W))
 			}
 			want := refineReference(context.Background(), tc.g, tc.W, U, tc.w, tc.target, 4)
 			if !CheckWindow(want, tc.W, tc.w, tc.target) {
@@ -246,6 +255,28 @@ func BenchmarkRefineFill(b *testing.B) {
 			b.Run(fmt.Sprintf("W=%d/par=%d", len(W), par), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					fillSink = refine(context.Background(), g, W, U, g.Weight, target, 0, par)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRefineFillSmallU times refine with zero passes where U is a
+// BFS prefix of 1/r of W's weight, at Par 2, on a climate mesh below
+// fmParCutoff (90², sequential full fill) and one above it (224², the
+// direct workload's meshes, parallel full fill). Which fill runs follows
+// fmSmallU; EXPERIMENTS.md has the runs with the rule forced either way
+// that place the crossover.
+func BenchmarkRefineFillSmallU(b *testing.B) {
+	for _, side := range []int{90, 224} {
+		g := workload.ClimateMesh(side, side, 3, 7)
+		W := allVerts(g.N())
+		for _, r := range []int{2, 3, 4, 6, 8, 16, 64} {
+			target := g.TotalWeight() / float64(r)
+			U := NewBFS(g).Split(context.Background(), W, g.Weight, target)
+			b.Run(fmt.Sprintf("W=%d/r=%d", len(W), r), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fillSink = refine(context.Background(), g, W, U, g.Weight, target, 0, 2)
 				}
 			})
 		}

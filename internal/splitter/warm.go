@@ -59,17 +59,34 @@ func NewWarm(g *graph.Graph, inner Splitter, prior []int32) *Warm {
 // pipeline's workers have joined by then, so the count is stable).
 func (s *Warm) Hits() int64 { return atomic.LoadInt64(&s.hits) }
 
-// Split implements Splitter.
+// Split implements Splitter: Inner's piece when W has no frontier under
+// Prior, and BestPrefix(warmOrder(G, Prior, W), w, target) otherwise,
+// computed by warmPrefix without ordering all of W.
 func (s *Warm) Split(ctx context.Context, W []int32, w []float64, target float64) []int32 {
 	if ctx.Err() != nil {
 		return nil
 	}
-	order := warmOrder(s.G, s.Prior, W)
-	if order == nil {
+	U, hit := warmPrefix(s.G, s.Prior, W, w, target)
+	if !hit {
 		return s.Inner.Split(ctx, W, w, target)
 	}
 	atomic.AddInt64(&s.hits, 1)
-	return BestPrefix(order, w, target)
+	return U
+}
+
+// warmPrefix returns BestPrefix(warmOrder(g, prior, W), w, target), byte
+// for byte, and whether W has a frontier under prior. When W's weights
+// allow it (streamable), it feeds the warm order to the prefix rule vertex
+// by vertex and stops at the pivot.
+func warmPrefix(g *graph.Graph, prior, W []int32, w []float64, target float64) ([]int32, bool) {
+	sorted, ok := streamable(W, w)
+	if !ok {
+		order := warmOrder(g, prior, W)
+		return BestPrefix(order, w, target), order != nil
+	}
+	p := newPrefixCut(w, target)
+	order, pivot := warmStream(g, prior, W, sorted, p.add)
+	return p.cut(order, pivot), order != nil
 }
 
 // warmOrder orders W by a multi-source BFS within G[W] seeded from W's
@@ -80,23 +97,57 @@ func (s *Warm) Split(ctx context.Context, W []int32, w []float64, target float64
 func warmOrder(g *graph.Graph, prior []int32, W []int32) []int32 {
 	sorted := slices.Clone(W)
 	slices.Sort(sorted)
+	order, _ := warmStream(g, prior, W, sorted, nil)
+	return order
+}
+
+// warmStream produces warmOrder's order of W, given W's ids in ascending
+// order, and calls stop after each vertex the way graph's MultiBFSPrefix
+// does, returning the order up to the vertex where stop reports true. The
+// order opens with W's frontier in ascending id, which needs no
+// traversal: only a stream that runs past the frontier views G[W] and
+// walks on from it. A nil order means W has no frontier.
+func warmStream(g *graph.Graph, prior, W, sorted []int32, stop func(int32) bool) ([]int32, bool) {
 	var frontier []int32
-	for _, v := range sorted {
-		pv := prior[v]
-		if pv < 0 {
+	for i, v := range sorted {
+		if i > 0 && v == sorted[i-1] || !onFrontier(g, prior, v) {
 			continue
 		}
-		for _, e := range g.IncidentEdges(v) {
-			if po := prior[g.Other(e, v)]; po >= 0 && po != pv {
-				frontier = append(frontier, v)
-				break
-			}
+		frontier = append(frontier, v)
+		if stop != nil && stop(v) {
+			return frontier, true
 		}
 	}
 	if len(frontier) == 0 {
-		return nil
+		return nil, false
 	}
 	sub := graph.NewSub(g, W)
 	defer sub.Release()
-	return sub.MultiBFSOrder(frontier, sorted)
+	if stop == nil {
+		return sub.MultiBFSPrefix(frontier, sorted, nil)
+	}
+	// stop has seen the frontier, which the traversal emits first again.
+	seen := 0
+	return sub.MultiBFSPrefix(frontier, sorted, func(v int32) bool {
+		if seen < len(frontier) {
+			seen++
+			return false
+		}
+		return stop(v)
+	})
+}
+
+// onFrontier reports whether v is colored under prior and has a neighbor,
+// inside W or out, colored differently.
+func onFrontier(g *graph.Graph, prior []int32, v int32) bool {
+	pv := prior[v]
+	if pv < 0 {
+		return false
+	}
+	for _, e := range g.IncidentEdges(v) {
+		if po := prior[g.Other(e, v)]; po >= 0 && po != pv {
+			return true
+		}
+	}
+	return false
 }
